@@ -70,6 +70,16 @@ impl<T: ValueType> MatStore<T> {
             MatStore::Dense(a) => a.bytes(),
         }
     }
+
+    /// Whether the store holds no entries (read without converting it).
+    pub(crate) fn is_empty(&self) -> bool {
+        match self {
+            MatStore::Csr(a) => a.nnz() == 0,
+            MatStore::Csc(a) => a.nnz() == 0,
+            MatStore::Coo(a, _) => a.nnz() == 0,
+            MatStore::Dense(a) => a.values().is_empty(),
+        }
+    }
 }
 
 pub(crate) struct MatrixState<T: ValueType> {

@@ -15,10 +15,18 @@ use crate::write;
 
 /// `C⟨M, r⟩ = C ⊙ (A ⊕.⊗ B)`.
 ///
-/// When a non-complemented mask is present without an accumulator the
-/// kernel runs in masked form (`spgemm_masked`), never materializing
-/// products outside the mask — the optimization that makes masked triangle
-/// counting linear in the mask size.
+/// When a mask is present without an accumulator the kernel runs in
+/// masked form (`spgemm_masked`, or `spgemm_masked_pair` for PLUS.PAIR
+/// into an integer type), never materializing products outside the mask.
+/// Masked triangle counting then costs Σ over entries `A(i,k)` of
+/// `|B(k,:)|` plus one pass over the mask, not the size of `A ⊕.⊗ B`.
+///
+/// Write-back: both masked kernels emit only positions the mask allows,
+/// for either polarity. So with no accumulator, and with `replace` set or
+/// an old `C` that has no entries, the kernel output is stored as `C`
+/// directly; the full merge (sort, re-restriction to the mask, union
+/// with the old `C`) runs only when old entries outside the mask must
+/// survive or an accumulator folds them in.
 pub fn mxm<C, M, A, B>(
     c: &Matrix<C>,
     mask: Option<&Matrix<M>>,
@@ -107,7 +115,7 @@ where
                 }
             };
             note_dag_fusion("mxm", ctx2.id(), NodeKind::MxM, 0, post.len(), nnz_in);
-            if mask_s.is_none() && accum.is_none() {
+            if accum.is_none() && (mask_s.is_none() || replace || st.store.is_empty()) {
                 st.store = MatStore::Csr(Arc::new(t));
             } else {
                 st.ensure_csr(&ctx2, true)?;

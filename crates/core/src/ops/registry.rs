@@ -25,6 +25,11 @@
 //! | MAX  | PLUS | f64, f32, i64, u64     | widest/critical paths      |
 //! | LOR  | LAND | bool                   | reachability, BFS          |
 //! | ANY  | PAIR | bool                   | structural BFS             |
+//! | PLUS | PAIR | any A, B → u64, i64    | triangles, k-truss, LCC (masked mxm) |
+//!
+//! The PLUS.PAIR row is claimed by masked `mxm` alone, with a
+//! non-complemented mask: it runs the value-free counting kernel
+//! `spgemm_masked_pair` instead of a monomorphized generic kernel.
 //!
 //! Element-wise ops additionally register PLUS/TIMES/MIN/MAX over the four
 //! numeric types and LOR/LAND over bool; apply registers IDENTITY, AINV,
@@ -676,7 +681,9 @@ where
 }
 
 /// Masked `C⟨M⟩ = A ⊕.⊗ B` (boolean masks only) through a registered
-/// instantiation.
+/// instantiation, or through the counting kernel
+/// [`spgemm::spgemm_masked_pair`] for PLUS.PAIR into `u64`/`i64` under a
+/// non-complemented mask.
 pub fn try_spgemm_masked<M, A, B, Z>(
     ctx: &Context,
     mask: &Csr<M>,
@@ -694,6 +701,28 @@ where
 {
     if !enabled() || TypeId::of::<M>() != TypeId::of::<bool>() {
         return None;
+    }
+    // PLUS.PAIR into an integer count type: the value-free counting
+    // kernel, for any A and B. A count cast equals repeated `+ 1` bit for
+    // bit only for integer Z, so float outputs stay on the generic path.
+    if !complement
+        && add_tag == Some(BuiltinOp::Plus)
+        && mul_tag == Some(BuiltinOp::OneB)
+        && a.ncols() < u32::MAX as usize
+    {
+        macro_rules! count_arm {
+            ($t:ty) => {
+                if TypeId::of::<Z>() == TypeId::of::<$t>() {
+                    let mt = cast_ref::<Csr<M>, Csr<bool>>(mask)?;
+                    let c: Csr<$t> = spgemm::spgemm_masked_pair(ctx, mt, pred_bool, a, b);
+                    let c = cast_val::<Csr<$t>, Csr<Z>>(c)?;
+                    record_pick("mxm", ctx.id(), true);
+                    return Some(c);
+                }
+            };
+        }
+        count_arm!(u64);
+        count_arm!(i64);
     }
     macro_rules! arm {
         ($add:ident, $mul:ident, $t:ty, $fold:ident, $acc:ident, $mulf:ident, $term:ident) => {

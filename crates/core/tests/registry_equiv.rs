@@ -6,7 +6,9 @@
 //! forced down the `Arc<dyn Fn>` fallback, and the results must match
 //! exactly. The registered element-wise binops, unary ops, and reduce
 //! monoids get the same treatment through `ewise_add_v`/`ewise_mult_v`,
-//! `apply_v`, and `reduce_to_value_v`.
+//! `apply_v`, and `reduce_to_value_v`. Masked PLUS.PAIR into integer
+//! counts, whose static arm is a different (value-free) kernel, is also
+//! checked against a naive reference across the `mxm` write-back cases.
 //!
 //! Both dispatch modes run the same kernel algorithm over the same
 //! partitioning, so even float results must agree to the last bit; the
@@ -21,6 +23,7 @@ use graphblas_core::operations::{
     apply_v, ewise_add_v, ewise_mult_v, mxm, mxv, reduce_to_value_v, vxm,
 };
 use graphblas_core::ops::registry;
+use graphblas_core::types::{One, Zero};
 use graphblas_core::{
     no_mask, no_mask_v, BinaryOp, Descriptor, Matrix, Monoid, Semiring, UnaryOp, ValueType, Vector,
 };
@@ -487,4 +490,142 @@ fn reduce_monoids_every_registered_pair() {
         0x4D,
         &mut |_rng: &mut StdRng| true,
     );
+}
+
+/// Masked PLUS.PAIR `mxm` into an integer count type — claimed by the
+/// value-free counting kernel under a non-complemented mask without an
+/// accumulator, by the generic kernel otherwise. Each write-back case is
+/// run static and forced-`dyn`, and both must equal a naive reference of
+/// the spec's `C⟨M, r⟩ = C ⊙ T` rule.
+fn check_plus_pair<A, B, Z>(
+    name: &str,
+    seed: u64,
+    gen_a: &mut impl FnMut(&mut StdRng) -> A,
+    gen_b: &mut impl FnMut(&mut StdRng) -> B,
+    count: impl Fn(u64) -> Z,
+) where
+    A: ValueType,
+    B: ValueType,
+    Z: ValueType + PartialEq + Debug + Copy + std::ops::Add<Output = Z> + Zero + One,
+{
+    let sr = Semiring::<A, B, Z>::plus_pair();
+    let plus = BinaryOp::<Z, Z, Z>::plus();
+    let a = mat_from(seed, gen_a);
+    let b = mat_from(seed ^ 0xB, gen_b);
+    // Mask values are random, so a value mask holds `false` entries.
+    let mask = mat_from(seed ^ 3, &mut gen_bool);
+    let old = mat_from(seed ^ 4, &mut |rng: &mut StdRng| count(rng.gen_range(1..9)));
+
+    let (mr, mc, mv) = mask.extract_tuples().unwrap();
+    let mask_e: BTreeMap<(usize, usize), bool> = mr.into_iter().zip(mc).zip(mv).collect();
+    let (ar, ac, _) = a.extract_tuples().unwrap();
+    let (br, bc, _) = b.extract_tuples().unwrap();
+    let mut t: BTreeMap<(usize, usize), u64> = BTreeMap::new();
+    for (&i, &k) in ar.iter().zip(&ac) {
+        for (&k2, &j) in br.iter().zip(&bc) {
+            if k == k2 {
+                *t.entry((i, j)).or_insert(0) += 1;
+            }
+        }
+    }
+    let (or, oc, ov) = old.extract_tuples().unwrap();
+    let old_e: BTreeMap<(usize, usize), Z> = or.into_iter().zip(oc).zip(ov).collect();
+
+    struct Case {
+        label: &'static str,
+        desc: Descriptor,
+        accum: bool,
+        old: bool,
+    }
+    let cases = [
+        Case {
+            label: "structure mask",
+            desc: Descriptor::new().structure_mask(),
+            accum: false,
+            old: false,
+        },
+        Case {
+            label: "value mask with false entries",
+            desc: Descriptor::default(),
+            accum: false,
+            old: false,
+        },
+        Case {
+            label: "complemented mask",
+            desc: Descriptor::new().complement_mask(),
+            accum: false,
+            old: false,
+        },
+        Case {
+            label: "accumulator",
+            desc: Descriptor::new().structure_mask(),
+            accum: true,
+            old: true,
+        },
+        Case {
+            label: "replace over a non-empty C",
+            desc: Descriptor::new().replace(),
+            accum: false,
+            old: true,
+        },
+        Case {
+            label: "merge into a non-empty C",
+            desc: Descriptor::new().structure_mask(),
+            accum: false,
+            old: true,
+        },
+    ];
+    for case in &cases {
+        let (s, d) = run_both(|| {
+            let c = if case.old {
+                old.dup().unwrap()
+            } else {
+                Matrix::<Z>::new(N, N).unwrap()
+            };
+            let accum = case.accum.then_some(&plus);
+            mxm(&c, Some(&mask), accum, &sr, &a, &b, &case.desc).unwrap();
+            c.extract_tuples().unwrap()
+        });
+        assert_eq!(s, d, "masked plus_pair disagrees: {name}, {}", case.label);
+
+        let allowed = |p: &(usize, usize)| {
+            let inside = match mask_e.get(p) {
+                Some(&v) => v || case.desc.mask_structure,
+                None => false,
+            };
+            inside != case.desc.mask_complement
+        };
+        let mut expect: BTreeMap<(usize, usize), Z> = BTreeMap::new();
+        for (p, &n) in &t {
+            if allowed(p) {
+                expect.insert(*p, count(n));
+            }
+        }
+        if case.old {
+            for (p, &v) in &old_e {
+                if allowed(p) {
+                    // Inside the mask an old entry survives only through
+                    // the accumulator: `accum(C, T)`.
+                    if case.accum {
+                        let e = expect.entry(*p).or_insert(v);
+                        if t.contains_key(p) {
+                            *e = v + *e;
+                        }
+                    }
+                } else if !case.desc.replace {
+                    expect.insert(*p, v);
+                }
+            }
+        }
+        let (r, c, v) = s;
+        let got: BTreeMap<(usize, usize), Z> = r.into_iter().zip(c).zip(v).collect();
+        assert_eq!(got, expect, "masked plus_pair wrong: {name}, {}", case.label);
+    }
+}
+
+#[test]
+fn masked_plus_pair_counts_every_write_back() {
+    check_plus_pair("bool,bool→u64", 0xE0, &mut gen_bool, &mut gen_bool, |n| n);
+    check_plus_pair("i64,i64→u64", 0xE1, &mut gen_i64, &mut gen_i64, |n| n);
+    check_plus_pair("f64,f64→i64", 0xE2, &mut gen_f64, &mut gen_f64, |n| n as i64);
 }

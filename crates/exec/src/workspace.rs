@@ -461,6 +461,54 @@ impl Reusable for BitSet {
     }
 }
 
+/// Dense `u32` slot table that is all-zero whenever it is checked out: a
+/// kernel sets the slots it needs and zeroes them again before calling
+/// [`SlotTable::finish`], so no access pays a generation-stamp test. A
+/// table given back unfinished (a panic mid-kernel) is zeroed in full by
+/// the next `prepare`.
+pub struct SlotTable {
+    slots: Vec<u32>,
+    clean: bool,
+}
+
+impl SlotTable {
+    /// The slots, all zero on entry. The caller must zero every slot it
+    /// sets and then call [`Self::finish`].
+    pub fn slots(&mut self) -> &mut [u32] {
+        self.clean = false;
+        &mut self.slots
+    }
+
+    /// Declares every slot zero again.
+    pub fn finish(&mut self) {
+        debug_assert!(self.slots.iter().all(|&s| s == 0), "slot left set");
+        self.clean = true;
+    }
+}
+
+impl Reusable for SlotTable {
+    fn fresh() -> Self {
+        SlotTable {
+            slots: Vec::new(),
+            clean: true,
+        }
+    }
+
+    fn prepare(&mut self, n: usize) {
+        if !self.clean {
+            self.slots.iter_mut().for_each(|s| *s = 0);
+            self.clean = true;
+        }
+        if self.slots.len() < n {
+            self.slots.resize(n, 0);
+        }
+    }
+
+    fn reusable_bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<u32>()) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,6 +632,24 @@ mod tests {
         assert!(!s.contains(7));
         s.insert(511);
         assert!(s.contains(511));
+    }
+
+    #[test]
+    fn slot_table_is_zero_on_checkout() {
+        let _g = serialize();
+        let mut t = SlotTable::fresh();
+        t.prepare(4);
+        t.slots()[2] = 7;
+        t.slots()[2] = 0;
+        t.finish();
+        t.prepare(8);
+        assert!(t.slots().iter().all(|&s| s == 0));
+        // Given back unfinished with a slot still set: the next prepare
+        // zeroes the whole table.
+        t.slots()[5] = 3;
+        t.prepare(8);
+        assert!(t.slots().iter().all(|&s| s == 0));
+        t.finish();
     }
 
     #[test]

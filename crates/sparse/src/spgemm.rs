@@ -14,10 +14,14 @@
 //! accumulates positions the mask allows. With `complement = false` this
 //! is the `C⟨M⟩ = A ⊕.⊗ B` pattern that makes masked triangle counting
 //! cheap (never materializing A·B outside the mask's structure).
+//!
+//! [`spgemm_masked_pair`] is the value-free form of that pattern for the
+//! PLUS.PAIR semiring: it counts, per allowed mask position, how many
+//! `k` have both `A(i,k)` and `B(k,j)`, and never reads a value.
 
 use std::ops::Range;
 
-use graphblas_exec::workspace::{self, BitSet, DenseAcc};
+use graphblas_exec::workspace::{self, BitSet, DenseAcc, SlotTable};
 use graphblas_exec::{parallel_map_chunks, parallel_map_ranges, partition, Context};
 
 use crate::csr::Csr;
@@ -215,6 +219,104 @@ where
     drop(numeric);
     let (indptr, indices, values) = util::stitch_row_chunks(m, chunks);
     let c = Csr::from_kernel_parts(m, n, indptr, indices, values, false);
+    if sp.active() {
+        sp.io(0, 0, c.nnz() as u64, 0);
+    }
+    c
+}
+
+/// Masked `C⟨M⟩ = A PLUS.PAIR B`: `C(i,j)` is the number of `k` with both
+/// `A(i,k)` and `B(k,j)` stored, at the positions of `mask` that `pred`
+/// allows, and only where that number is at least 1.
+///
+/// Per row, the allowed mask columns are marked in a dense `u32` slot
+/// table (slot = 1 + count so far); each `B(k,:)` entry that lands on a
+/// marked slot bumps it, and the row is emitted in mask order, so output
+/// rows are sorted whenever the mask's are. No value of `A` or `B` is
+/// read and no per-product accumulator call is made. Counts are bounded
+/// by `a.ncols()`, which must therefore be below `u32::MAX`; every such
+/// count converts to `Z` exactly.
+pub fn spgemm_masked_pair<M, A, B, Z, FP>(
+    ctx: &Context,
+    mask: &Csr<M>,
+    pred: FP,
+    a: &Csr<A>,
+    b: &Csr<B>,
+) -> Csr<Z>
+where
+    M: Sync,
+    A: Sync,
+    B: Sync,
+    Z: From<u32> + Send,
+    FP: Fn(&M) -> bool + Sync,
+{
+    assert_eq!(a.ncols(), b.nrows(), "spgemm: inner dimension mismatch");
+    assert_eq!(mask.nrows(), a.nrows(), "spgemm: mask row mismatch");
+    assert_eq!(mask.ncols(), b.ncols(), "spgemm: mask column mismatch");
+    assert!(a.ncols() < u32::MAX as usize, "spgemm: count exceeds u32");
+    let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::SpGemm, ctx.id());
+    let (m, n) = (a.nrows(), b.ncols());
+    if m == 0 || n == 0 {
+        return Csr::empty(m, n);
+    }
+    if sp.active() {
+        sp.io(
+            count_flops(a, b),
+            (a.nnz() + b.nnz() + mask.nnz()) as u64,
+            0,
+            ((a.nnz() + b.nnz() + mask.nnz()) * std::mem::size_of::<usize>()) as u64,
+        );
+    }
+    let ranges = {
+        let _ph = graphblas_obs::timeline::phase("spgemm.symbolic");
+        flop_ranges(ctx, a, b)
+    };
+    let numeric = graphblas_obs::timeline::phase("spgemm.numeric");
+    let chunks = parallel_map_ranges(ranges, |rows: Range<usize>| {
+        let _task = graphblas_obs::timeline::phase("spgemm.numeric.task");
+        let mut table = workspace::checkout::<SlotTable>(n);
+        let slot = table.slots();
+        let mut lens = Vec::with_capacity(rows.len());
+        let mut idx = Vec::new();
+        let mut vals: Vec<Z> = Vec::new();
+        for i in rows.clone() {
+            let (mcols, mvals) = mask.row(i);
+            let mut marked = false;
+            for (&j, mv) in mcols.iter().zip(mvals) {
+                if pred(mv) {
+                    slot[j] = 1;
+                    marked = true;
+                }
+            }
+            if !marked {
+                lens.push(0);
+                continue;
+            }
+            for &k in a.row(i).0 {
+                for &j in b.row(k).0 {
+                    // Branch-free bump of marked slots only: whether a
+                    // product lands inside the mask is data-dependent and
+                    // a per-product branch on it mispredicts.
+                    let s = &mut slot[j];
+                    *s += (*s != 0) as u32;
+                }
+            }
+            let start = idx.len();
+            for &j in mcols {
+                let s = std::mem::take(&mut slot[j]);
+                if s > 1 {
+                    idx.push(j);
+                    vals.push(Z::from(s - 1));
+                }
+            }
+            lens.push(idx.len() - start);
+        }
+        table.finish();
+        (rows, (lens, idx, vals))
+    });
+    drop(numeric);
+    let (indptr, indices, values) = util::stitch_row_chunks(m, chunks);
+    let c = Csr::from_kernel_parts(m, n, indptr, indices, values, mask.is_rows_sorted());
     if sp.active() {
         sp.io(0, 0, c.nnz() as u64, 0);
     }

@@ -96,6 +96,48 @@ fn spgemm_masked_is_restricted_spgemm() {
     }
 }
 
+/// Random entries of a `rows × cols` matrix in which a random subset of
+/// rows is forced empty.
+fn entries_with_empty_rows(rng: &mut StdRng, rows: usize, cols: usize) -> Entries {
+    let empty: Vec<bool> = (0..rows).map(|_| rng.gen_bool(0.3)).collect();
+    random_entries(rng, rows, cols)
+        .into_iter()
+        .filter(|((i, _), _)| !empty[*i])
+        .collect()
+}
+
+#[test]
+fn spgemm_masked_pair_counts_like_plus_pair() {
+    let ctx = global_context();
+    let mut rng = StdRng::seed_from_u64(0x9A12);
+    for _ in 0..CASES {
+        let (m, k, n) = (
+            rng.gen_range(1..13usize),
+            rng.gen_range(1..13usize),
+            rng.gen_range(1..13usize),
+        );
+        let am = csr((m, k), &entries_with_empty_rows(&mut rng, m, k));
+        let bm = csr((k, n), &entries_with_empty_rows(&mut rng, k, n));
+        let mm = csr((m, n), &entries_with_empty_rows(&mut rng, m, n));
+        // The predicate rejects the mask's negative entries.
+        let pred = |v: &i64| *v >= 0;
+        let pair: Csr<u64> = spgemm::spgemm_masked_pair(&ctx, &mm, pred, &am, &bm);
+        pair.check().unwrap();
+        assert!(pair.is_rows_sorted());
+        let generic = spgemm::spgemm_masked(
+            &ctx,
+            &mm,
+            false,
+            pred,
+            &am,
+            &bm,
+            |_, _| 1u64,
+            |acc, z| *acc += z,
+        );
+        assert_eq!(pair.to_sorted_tuples(), generic.to_sorted_tuples());
+    }
+}
+
 #[test]
 fn transpose_is_involutive_and_entrywise() {
     let ctx = global_context();

@@ -20,6 +20,10 @@ done
 
 cargo build --release
 cargo test -q
+# Crate suites the root `cargo test` does not reach: the sparse-kernel
+# property tests and the static-vs-dyn registry equivalence tests.
+cargo test -q -p graphblas-sparse --test kernel_props
+cargo test -q -p graphblas-core --test registry_equiv
 cargo clippy --all-targets -- -D warnings
 
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside

@@ -2,9 +2,11 @@
 //! graphs: different algorithms constrain each other (BFS vs unit-weight
 //! SSSP, components vs BFS floods, triangles vs clustering coefficients).
 
+use std::collections::BTreeSet;
+
 use graphblas::algo::{
-    bfs_levels, bfs_parents, connected_components, k_core, maximal_independent_set,
-    sssp_bellman_ford, triangle_count,
+    bfs_levels, bfs_parents, connected_components, k_core, k_truss,
+    local_clustering_coefficient, maximal_independent_set, sssp_bellman_ford, triangle_count,
 };
 use graphblas::io::{erdos_renyi, grid, rmat};
 use graphblas::operations::apply;
@@ -173,4 +175,85 @@ fn algorithms_run_inside_thread_limited_context() {
     a.switch_context(&global_context()).unwrap();
     let t2 = triangle_count(&a).unwrap();
     assert_eq!(t1, t2);
+}
+
+/// Sorted adjacency lists of a symmetric boolean matrix.
+fn adjacency(a: &Matrix<bool>) -> Vec<Vec<usize>> {
+    let (rows, cols, _) = a.extract_tuples().unwrap();
+    let mut adj = vec![Vec::new(); a.nrows()];
+    for (i, j) in rows.into_iter().zip(cols) {
+        adj[i].push(j);
+    }
+    for row in &mut adj {
+        row.sort_unstable();
+    }
+    adj
+}
+
+/// Size of the intersection of two sorted lists.
+fn common(x: &[usize], y: &[usize]) -> u64 {
+    let (mut p, mut q, mut n) = (0, 0, 0);
+    while p < x.len() && q < y.len() {
+        match x[p].cmp(&y[q]) {
+            std::cmp::Ordering::Less => p += 1,
+            std::cmp::Ordering::Greater => q += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                p += 1;
+                q += 1;
+            }
+        }
+    }
+    n
+}
+
+/// Naive k-truss: drop every edge in fewer than `k − 2` triangles of
+/// the surviving graph until none is dropped. Returns the ordered edges.
+fn naive_k_truss(adj: &[Vec<usize>], k: u64) -> BTreeSet<(usize, usize)> {
+    let mut adj = adj.to_vec();
+    loop {
+        let weak: Vec<(usize, usize)> = (0..adj.len())
+            .flat_map(|u| adj[u].iter().map(move |&v| (u, v)))
+            .filter(|&(u, v)| common(&adj[u], &adj[v]) < k - 2)
+            .collect();
+        if weak.is_empty() {
+            return (0..adj.len())
+                .flat_map(|u| adj[u].iter().map(move |&v| (u, v)))
+                .collect();
+        }
+        for (u, v) in weak {
+            adj[u].retain(|&w| w != v);
+        }
+    }
+}
+
+#[test]
+fn triangle_truss_and_lcc_match_naive_intersection_counts() {
+    for seed in [5, 17] {
+        let a = symmetric_rmat(10, seed);
+        let adj = adjacency(&a);
+        let n = adj.len();
+
+        // Each triangle is seen once from each of its three edges u < v.
+        let support: u64 = (0..n)
+            .flat_map(|u| adj[u].iter().filter(move |&&v| u < v).map(move |&v| (u, v)))
+            .map(|(u, v)| common(&adj[u], &adj[v]))
+            .sum();
+        assert!(support > 0, "seed {seed}: graph has no triangles");
+        assert_eq!(triangle_count(&a).unwrap(), support / 3, "seed {seed}");
+
+        for k in [3, 4] {
+            let (rows, cols, _) = k_truss(&a, k).unwrap().extract_tuples().unwrap();
+            let got: BTreeSet<(usize, usize)> = rows.into_iter().zip(cols).collect();
+            assert_eq!(got, naive_k_truss(&adj, k), "seed {seed}, k = {k}");
+        }
+
+        let lcc = local_clustering_coefficient(&a).unwrap();
+        for v in 0..n {
+            let closed: u64 = adj[v].iter().map(|&u| common(&adj[u], &adj[v])).sum();
+            let deg = adj[v].len() as u64;
+            let expect = (closed > 0).then(|| closed as f64 / (deg * (deg - 1)) as f64);
+            assert_eq!(lcc.extract_element(v).unwrap(), expect, "seed {seed}, vertex {v}");
+        }
+    }
 }
