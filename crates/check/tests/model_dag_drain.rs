@@ -3,12 +3,13 @@
 //! on the per-container mutex, and no interleaving may lose a stage,
 //! apply one twice, or let `wait` return with work still queued.
 //!
-//! `DagState` mirrors the `Stage::Node` drain in `graphblas_core::pending`
-//! — a node flushes the map run queued before it (node-barrier), then
-//! greedily consumes the maps queued *after* it as its fused `post` run —
-//! and `maybe_async_drain` is modeled by writers offering a drain task
-//! once the queue depth crosses a threshold, exactly like the depth gate
-//! in `Vector::maybe_async_drain`.
+//! `DagState` mirrors `State::drain_as`, the one drain of the shared
+//! pending engine in `graphblas_core::pending` (used by `Matrix`,
+//! `Vector` and `Scalar` alike) — a node flushes the map run queued
+//! before it (node-barrier), then greedily consumes the maps queued
+//! *after* it as its fused `post` run — and the engine's
+//! `maybe_async_drain` is modeled by writers offering a drain task once
+//! the queue depth crosses a threshold, exactly like its depth gate.
 
 use std::sync::Arc;
 
@@ -51,7 +52,7 @@ impl DagState {
         self.pending.len()
     }
 
-    /// Mirrors `PendingQueue` drain with the node arm: the queue is taken
+    /// Mirrors `State::drain_as` with the node arm: the queue is taken
     /// whole under the lock, so a racing drain sees an empty queue, never
     /// a half-applied one.
     fn drain(&mut self) -> u64 {

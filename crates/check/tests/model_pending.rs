@@ -3,11 +3,11 @@
 //! deferred failure poisons the object (error recorded, queue cleared,
 //! every later drain reports it without applying anything).
 //!
-//! `ModelState` mirrors the `MatrixState::drain` structure in
-//! `graphblas_core::matrix` — take the queue, apply stages, on failure
-//! record the error and drop the *rest* of the queue — with writers and
-//! readers racing on the instrumented mutex so the checker can interleave
-//! stage/drain/stage/drain arbitrarily.
+//! `ModelState` mirrors the `State::drain_as` structure of the shared
+//! pending engine in `graphblas_core::pending` — take the queue, apply
+//! stages, on failure record the error and drop the *rest* of the
+//! queue — with writers and readers racing on the instrumented mutex so
+//! the checker can interleave stage/drain/stage/drain arbitrarily.
 
 use std::sync::Arc;
 
@@ -48,7 +48,7 @@ impl ModelState {
         Ok(())
     }
 
-    /// Mirrors `MatrixState::drain`: drain everything or poison; never
+    /// Mirrors `State::drain_as`: drain everything or poison; never
     /// leave a partially-applied queue behind.
     fn drain(&mut self) -> Result<u64, &'static str> {
         if let Some(e) = self.err {

@@ -1,15 +1,12 @@
-//! Nonblocking execution-DAG knobs (paper §III).
+//! Async-drain knobs of the nonblocking op DAG (paper §III).
 //!
-//! The pending engine (see [`crate::pending`]) generalizes from fusible
-//! map chains to a true lazy op DAG: operations append [`Stage::Node`]
-//! stages whose numeric kernels can absorb neighbouring map stages (the
-//! cross-*operation* fusion latitude §III grants a nonblocking
-//! implementation). This module owns the runtime switches:
+//! In a nonblocking context the pending engine (see [`crate::pending`])
+//! queues operations as [`Stage::Node`] stages whose numeric kernels can
+//! absorb neighbouring map stages (the cross-*operation* fusion latitude
+//! §III grants a nonblocking implementation); a blocking context runs
+//! every operation at its call. The two modes are the paper's; this
+//! module only tunes when a nonblocking queue drains in the background:
 //!
-//! * `GRB_NONBLOCKING=0` — global opt-out. Containers in nonblocking
-//!   contexts still defer work, but every deferred op is enqueued as an
-//!   opaque stage exactly as before this engine existed, reproducing the
-//!   old behavior bit-for-bit (the equivalence tests assert this).
 //! * `GRB_ASYNC_DRAIN=0` — keep deferral lazy but never hand a drain to
 //!   the worker pool; drains happen only when a read/wait forces them.
 //! * `GRB_ASYNC_DRAIN_DEPTH=<n>` — queue depth at which a container
@@ -17,10 +14,9 @@
 //!   short op chains intact so node stages still find trailing maps to
 //!   fuse; only long backlogs drain eagerly in the background.
 //!
-//! Each knob also has a programmatic override (`set_nonblocking_dag`,
-//! `set_async_drain`) because the environment is read once per process —
-//! tests and the blocking-vs-nonblocking ablation flip modes many times
-//! in one run.
+//! Each knob also has a programmatic override (`set_async_drain`,
+//! `set_async_drain_depth`) because the environment is read once per
+//! process — tests flip them many times in one run.
 //!
 //! [`Stage::Node`]: crate::pending::Stage::Node
 
@@ -31,16 +27,10 @@ use std::sync::OnceLock;
 /// 2 = forced on.
 // grbsa: protocol=config-flag — independently published mode flag; no
 // other memory is ordered against it.
-static DAG_FORCE: AtomicU8 = AtomicU8::new(0);
 static ASYNC_FORCE: AtomicU8 = AtomicU8::new(0);
 /// Programmatic drain-depth override; `usize::MAX` means "follow env".
 // grbsa: protocol=config-flag — tuning knob read at enqueue time only.
 static DEPTH_FORCE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-fn env_dag_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("GRB_NONBLOCKING").map_or(true, |v| v != "0"))
-}
 
 fn env_async_enabled() -> bool {
     static ON: OnceLock<bool> = OnceLock::new();
@@ -55,26 +45,6 @@ fn env_async_depth() -> usize {
             .and_then(|v| v.parse().ok())
             .unwrap_or(8)
     })
-}
-
-/// Whether nonblocking containers build the fused op DAG (`Stage::Node`)
-/// or fall back to the pre-DAG opaque-stage queue.
-pub fn dag_enabled() -> bool {
-    match DAG_FORCE.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => env_dag_enabled(),
-    }
-}
-
-/// Forces the DAG on/off for this process (`None` returns control to the
-/// `GRB_NONBLOCKING` environment variable). Used by the equivalence tests
-/// and the bench ablation.
-pub fn set_nonblocking_dag(mode: Option<bool>) {
-    DAG_FORCE.store(
-        mode.map_or(0, |on| if on { 2 } else { 1 }),
-        Ordering::SeqCst,
-    );
 }
 
 /// Whether deep pending queues may drain asynchronously on the pool.
@@ -116,12 +86,6 @@ mod tests {
 
     #[test]
     fn forced_modes_override_env() {
-        set_nonblocking_dag(Some(false));
-        assert!(!dag_enabled());
-        set_nonblocking_dag(Some(true));
-        assert!(dag_enabled());
-        set_nonblocking_dag(None);
-
         set_async_drain(Some(false));
         assert!(!async_drain_enabled());
         set_async_drain(None);

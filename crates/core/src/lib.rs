@@ -91,3 +91,12 @@ pub fn no_mask<'a>() -> Option<&'a Matrix<bool>> {
 pub fn no_mask_v<'a>() -> Option<&'a Vector<bool>> {
     None
 }
+
+/// Serializes the unit tests that flip the process-global obs flag or
+/// read obs counter deltas, so one test's `set_enabled(false)` cannot
+/// blank another's memory ledger mid-run.
+#[cfg(test)]
+pub(crate) fn obs_flag_lock() -> std::sync::MutexGuard<'static, ()> {
+    static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    M.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -16,14 +16,13 @@
 
 use std::sync::Arc;
 
-use graphblas_exec::sync::{Mutex, RwLock};
-use graphblas_exec::{Context, Mode};
+use graphblas_exec::Context;
 use graphblas_sparse::{Coo, Csc, Csr, Dense};
 
-use crate::error::{ApiError, Error, ExecutionError, GrbResult};
+use crate::error::{ApiError, Error, GrbResult};
 use crate::introspect::ObjectStats;
 use crate::ops::BinaryOp;
-use crate::pending::{fuse_maps, MapFn, NodeKind, Stage, WaitMode};
+use crate::pending::{fuse_maps, Container, Handle, MapFn, MemLedger, Store, WaitMode};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 
@@ -86,8 +85,6 @@ pub(crate) struct MatrixState<T: ValueType> {
     pub nrows: usize,
     pub ncols: usize,
     pub store: MatStore<T>,
-    pub pending: Vec<Stage<MatrixState<T>, T>>,
-    pub err: Option<ExecutionError>,
     /// Memoized transpose, keyed by the identity of the CSR `Arc` it was
     /// computed from. Every mutation installs a new store `Arc`, so a
     /// pointer-equality check is a complete validity test (and holding the
@@ -95,58 +92,22 @@ pub(crate) struct MatrixState<T: ValueType> {
     /// the state mutex like everything else, which is what lets
     /// `check::sched` model the population race.
     pub transpose_cache: Option<(Arc<Csr<T>>, Arc<Csr<T>>)>,
-    /// Store bytes this state last reported to the `obs::mem` container
-    /// gauge (0 when telemetry was off at the last reconciliation).
-    pub mem_bytes: u64,
-    /// Context id the bytes above were charged to.
-    pub mem_ctx: u64,
-}
-
-impl<T: ValueType> Drop for MatrixState<T> {
-    fn drop(&mut self) {
-        if self.mem_bytes != 0 {
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-        }
-    }
+    /// Store bytes charged to the context's memory ledger.
+    pub mem: MemLedger,
 }
 
 impl<T: ValueType> MatrixState<T> {
-    /// A clean state (no pending stages, no error, no caches) over `store`.
+    /// A clean state (no caches) over `store`.
     pub(crate) fn fresh(nrows: usize, ncols: usize, store: MatStore<T>) -> Self {
         MatrixState {
             nrows,
             ncols,
             store,
-            pending: Vec::new(),
-            err: None,
             transpose_cache: None,
-            mem_bytes: 0,
-            mem_ctx: 0,
+            mem: MemLedger::default(),
         }
     }
 
-    /// Reconciles this container's allocated-store bytes with the
-    /// `obs::mem` container gauge and the owning context's memory ledger.
-    /// Cheap when telemetry is off (one relaxed load, nothing recorded)
-    /// and self-correcting across toggles: it always releases exactly what
-    /// it previously recorded before charging the new figure.
-    pub(crate) fn note_mem(&mut self, ctx_id: u64) {
-        let enabled = graphblas_obs::enabled();
-        if !enabled && self.mem_bytes == 0 {
-            return;
-        }
-        if ctx_id != self.mem_ctx && self.mem_bytes != 0 {
-            // The handle moved contexts: zero the old ledger entry first.
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-            self.mem_bytes = 0;
-        }
-        self.mem_ctx = ctx_id;
-        let new = if enabled { self.store.bytes() } else { 0 };
-        if new != self.mem_bytes {
-            graphblas_obs::mem::adjust_container(ctx_id, self.mem_bytes, new);
-            self.mem_bytes = new;
-        }
-    }
     /// Converts the store to CSR in place (sorting rows when `sorted`).
     pub(crate) fn ensure_csr(&mut self, ctx: &Context, sorted: bool) -> GrbResult {
         let src_format = match &self.store {
@@ -239,243 +200,78 @@ impl<T: ValueType> MatrixState<T> {
         t
     }
 
-    /// Drains the pending queue, fusing runs of map stages into single
-    /// traversals. On an execution error the object is poisoned (§V: the
-    /// output's contents become undefined; we record the error and keep it
-    /// sticky).
-    pub(crate) fn drain(&mut self, ctx: &Context) -> GrbResult {
-        self.drain_as(ctx, "read")
-    }
-
-    /// [`Self::drain`] with an explicit force cause for the `DagForce`
-    /// decision event ("read", "wait", "async", "self-input").
-    pub(crate) fn drain_as(&mut self, ctx: &Context, cause: &'static str) -> GrbResult {
-        if let Some(e) = &self.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let obs_on = graphblas_obs::enabled();
-        let _sp = obs_on.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
-        if obs_on {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pending()
-                .drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        if pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
-            if obs_on {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::dag()
-                    .forces
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_dag_force(
-                    "matrix.drain",
-                    ctx.id(),
-                    cause,
-                    pending.len() as u64,
-                );
-            }
-        }
-        let mut stages = pending.into_iter().peekable();
-        let mut run: Vec<MapFn<T>> = Vec::new();
-        let result = (|| {
-            while let Some(stage) = stages.next() {
-                match stage {
-                    Stage::Map(f) => run.push(f),
-                    Stage::Opaque(f) => {
-                        self.flush_map_run(ctx, &mut run, "opaque-barrier")?;
-                        if obs_on {
-                            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                            graphblas_obs::counters::pending()
-                                .opaque_drains
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            graphblas_obs::events::decision_opaque_drain("matrix.drain", ctx.id());
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.opaque");
-                        f(self)?;
-                    }
-                    Stage::Node { kind: _, exec } => {
-                        // Maps before a node transform the pre-node value;
-                        // trailing maps transform the node's output and are
-                        // handed to the node to fuse into its kernel.
-                        self.flush_map_run(ctx, &mut run, "node-barrier")?;
-                        let mut post: Vec<MapFn<T>> = Vec::new();
-                        while matches!(stages.peek(), Some(Stage::Map(_))) {
-                            if let Some(Stage::Map(f)) = stages.next() {
-                                post.push(f);
-                            }
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.node");
-                        exec(self, post)?;
-                    }
-                }
-            }
-            self.flush_map_run(ctx, &mut run, "queue-end")
-        })();
-        if let Err(e) = &result {
-            if let Error::Execution(exec) = e {
-                self.err = Some(exec.clone());
-                if obs_on {
-                    // The error surfaced at drain time, not at the call
-                    // that caused it — the §V deferral the paper promises.
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .errors_deferred
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::events::decision_error_deferred("matrix.drain", ctx.id());
-                }
-            }
-            self.pending.clear();
-        }
-        self.note_mem(ctx.id());
-        self.debug_check();
-        result
-    }
-
-    /// Deep validation of this state: Table III invariants of the current
-    /// store, store-vs-logical shape agreement, and §V error bookkeeping.
-    pub(crate) fn check(&self) -> Result<(), crate::introspect::CheckError> {
-        use crate::introspect::CheckError;
-        let shape = match &self.store {
-            MatStore::Csr(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "csr",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-            MatStore::Csc(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "csc",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-            MatStore::Coo(a, _) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "coo",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-            MatStore::Dense(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "dense",
-                    source,
-                })?;
-                (a.nrows(), a.ncols())
-            }
-        };
-        if shape != (self.nrows, self.ncols) {
-            return Err(CheckError::ShapeMismatch {
-                logical: (self.nrows as u64, self.ncols as u64),
-                store: (shape.0 as u64, shape.1 as u64),
-            });
-        }
-        if self.err.is_some() && !self.pending.is_empty() {
-            return Err(CheckError::PendingAfterError {
-                pending: self.pending.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Debug-build invariant gate, called at kernel boundaries (after
-    /// `drain` and `ensure_csr`). Compiles to nothing in release builds.
-    #[inline]
-    pub(crate) fn debug_check(&self) {
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.check() {
-            panic!("matrix container invariant violated: {e}");
-        }
-    }
-
-    fn flush_map_run(
-        &mut self,
-        ctx: &Context,
-        run: &mut Vec<MapFn<T>>,
-        trigger: &'static str,
-    ) -> GrbResult {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::MapFuse, ctx.id());
-        if sp.active() {
-            let p = graphblas_obs::counters::pending();
-            // A run of n maps executes as ONE traversal; the other n−1
-            // stages were absorbed into it — each is a fusion hit.
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.map_traversals
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.fusion_hits
-                .fetch_add(run.len() as u64 - 1, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.ensure_csr(ctx, false)?;
-        let nnz_in = if sp.active() {
-            self.csr().nnz() as u64
-        } else {
-            0
-        };
-        if graphblas_obs::events::on() {
-            graphblas_obs::events::decision_fuse_flush(
-                "matrix.drain",
-                ctx.id(),
-                run.len() as u64,
-                nnz_in,
-                trigger,
-            );
-        }
-        let fused = self
-            .csr()
-            .filter_map_with_index(ctx, |i, j, v| fuse_maps(run, &[i, j], v));
-        if sp.active() {
-            sp.io(
-                nnz_in * run.len() as u64,
-                nnz_in,
-                fused.nnz() as u64,
-                nnz_in * std::mem::size_of::<T>() as u64,
-            );
-        }
-        self.store = MatStore::Csr(Arc::new(fused));
-        run.clear();
-        Ok(())
-    }
-
     /// Applies a node's trailing (post) map run to the container's final
     /// state as one pass (see `VectorState::apply_post_maps`).
     pub(crate) fn apply_post_maps(&mut self, ctx: &Context, post: &[MapFn<T>]) -> GrbResult {
         if post.is_empty() {
             return Ok(());
         }
-        self.ensure_csr(ctx, false)?;
-        let out = self
-            .csr()
-            .filter_map_with_index(ctx, |i, j, v| fuse_maps(post, &[i, j], v));
-        self.store = MatStore::Csr(Arc::new(out));
+        self.map_input(ctx)?;
+        self.map_pass(ctx, post);
         Ok(())
     }
 }
 
-struct MatrixHandle<T: ValueType> {
-    ctx: RwLock<Context>,
-    state: Mutex<MatrixState<T>>,
+impl<T: ValueType> Store for MatrixState<T> {
+    type Elem = T;
+    const KIND: &'static str = "matrix";
+    const DRAIN_OP: &'static str = "matrix.drain";
+
+    fn map_input(&mut self, ctx: &Context) -> GrbResult<usize> {
+        self.ensure_csr(ctx, false)?;
+        Ok(self.csr().nnz())
+    }
+
+    fn map_pass(&mut self, ctx: &Context, run: &[MapFn<T>]) -> usize {
+        let out = self
+            .csr()
+            .filter_map_with_index(ctx, |i, j, v| fuse_maps(run, &[i, j], v));
+        let nnz = out.nnz();
+        self.store = MatStore::Csr(Arc::new(out));
+        nnz
+    }
+
+    fn note_mem(&mut self, ctx_id: u64) {
+        self.mem.note(ctx_id, || self.store.bytes());
+    }
+
+    /// Table III invariants of the current store and store-vs-logical
+    /// shape agreement.
+    fn check(&self) -> Result<(), crate::introspect::CheckError> {
+        use crate::introspect::CheckError;
+        let (format, checked, shape) = match &self.store {
+            MatStore::Csr(a) => ("csr", a.check(), (a.nrows(), a.ncols())),
+            MatStore::Csc(a) => ("csc", a.check(), (a.nrows(), a.ncols())),
+            MatStore::Coo(a, _) => ("coo", a.check(), (a.nrows(), a.ncols())),
+            MatStore::Dense(a) => ("dense", a.check(), (a.nrows(), a.ncols())),
+        };
+        checked.map_err(|source| CheckError::Format { format, source })?;
+        if shape != (self.nrows, self.ncols) {
+            return Err(CheckError::ShapeMismatch {
+                logical: (self.nrows as u64, self.ncols as u64),
+                store: (shape.0 as u64, shape.1 as u64),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// An opaque handle to a GraphBLAS matrix over domain `T`.
 #[derive(Clone)]
 pub struct Matrix<T: ValueType> {
-    inner: Arc<MatrixHandle<T>>,
+    inner: Arc<Handle<MatrixState<T>>>,
+}
+
+impl<T: ValueType> Container for Matrix<T> {
+    type St = MatrixState<T>;
+    fn handle(&self) -> &Arc<Handle<MatrixState<T>>> {
+        &self.inner
+    }
 }
 
 impl<T: ValueType> std::fmt::Debug for Matrix<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = self.lock_raw();
         write!(
             f,
             "Matrix<{}>({}x{}, pending: {})",
@@ -520,13 +316,9 @@ impl<T: ValueType> Matrix<T> {
         ))
     }
 
-    pub(crate) fn from_state(ctx: &Context, mut state: MatrixState<T>) -> Self {
-        state.note_mem(ctx.id());
+    pub(crate) fn from_state(ctx: &Context, state: MatrixState<T>) -> Self {
         Matrix {
-            inner: Arc::new(MatrixHandle {
-                ctx: RwLock::new(ctx.clone()),
-                state: Mutex::new(state),
-            }),
+            inner: Handle::new(ctx, state),
         }
     }
 
@@ -542,23 +334,22 @@ impl<T: ValueType> Matrix<T> {
 
     /// The context this matrix belongs to (§IV).
     pub fn context(&self) -> Context {
-        self.inner.ctx.read().clone()
+        self.inner.context()
     }
 
     /// `GrB_Context_switch`: moves the object to another context.
     pub fn switch_context(&self, ctx: &Context) -> GrbResult {
-        *self.inner.ctx.write() = ctx.clone();
-        Ok(())
+        self.inner.switch_context(ctx)
     }
 
     /// Number of rows (shape is immutable except through [`Self::resize`]).
     pub fn nrows(&self) -> Index {
-        self.inner.state.lock().nrows
+        self.lock_raw().nrows
     }
 
     /// Number of columns.
     pub fn ncols(&self) -> Index {
-        self.inner.state.lock().ncols
+        self.lock_raw().ncols
     }
 
     /// `GrB_Matrix_nvals`: number of stored elements. Forces completion.
@@ -572,15 +363,12 @@ impl<T: ValueType> Matrix<T> {
     /// `GrB_Matrix_clear`: removes all elements. Also clears pending
     /// operations and any sticky error (the object is rebuilt from empty).
     pub fn clear(&self) -> GrbResult {
-        let ctx_id = self.context().id();
-        let mut st = self.inner.state.lock();
-        st.pending.clear();
-        st.err = None;
-        st.store = MatStore::Csr(Arc::new(Csr::empty(st.nrows, st.ncols)));
-        // Pointer identity already invalidates the cache; dropping it here
-        // just frees the memory promptly.
-        st.transpose_cache = None;
-        st.note_mem(ctx_id);
+        self.clear_with(|st| {
+            st.store = MatStore::Csr(Arc::new(Csr::empty(st.nrows, st.ncols)));
+            // Pointer identity already invalidates the cache; dropping it
+            // here just frees the memory promptly.
+            st.transpose_cache = None;
+        });
         Ok(())
     }
 
@@ -591,51 +379,50 @@ impl<T: ValueType> Matrix<T> {
         if nrows == 0 || ncols == 0 {
             return Err(ApiError::InvalidValue.into());
         }
-        let ctx = self.context();
-        let mut st = self.lock_completed()?;
-        st.ensure_csr(&ctx, false)?;
-        let old = st.csr().clone();
-        let kept: Vec<(Index, Index, T)> = old
-            .iter()
-            .filter(|&(i, j, _)| i < nrows && j < ncols)
-            .map(|(i, j, v)| (i, j, v.clone()))
-            .collect();
-        let coo = Coo::from_parts(
-            nrows,
-            ncols,
-            kept.iter().map(|t| t.0).collect(),
-            kept.iter().map(|t| t.1).collect(),
-            kept.into_iter().map(|t| t.2).collect(),
-        )
-        .map_err(Error::from)?;
-        st.nrows = nrows;
-        st.ncols = ncols;
-        st.store = MatStore::Csr(Arc::new(coo.to_csr(&ctx, None).map_err(Error::from)?));
-        st.transpose_cache = None;
-        Ok(())
+        self.write_completed(|st, ctx| {
+            st.ensure_csr(ctx, false)?;
+            let kept: Vec<(Index, Index, T)> = st
+                .csr()
+                .iter()
+                .filter(|&(i, j, _)| i < nrows && j < ncols)
+                .map(|(i, j, v)| (i, j, v.clone()))
+                .collect();
+            let coo = Coo::from_parts(
+                nrows,
+                ncols,
+                kept.iter().map(|t| t.0).collect(),
+                kept.iter().map(|t| t.1).collect(),
+                kept.into_iter().map(|t| t.2).collect(),
+            )
+            .map_err(Error::from)?;
+            st.nrows = nrows;
+            st.ncols = ncols;
+            st.store = MatStore::Csr(Arc::new(coo.to_csr(ctx, None).map_err(Error::from)?));
+            st.transpose_cache = None;
+            Ok(())
+        })
     }
 
     /// `GrB_Matrix_setElement`. A scalar index outside the dimensions is
     /// an *API* error (`GrB_INVALID_INDEX`), reported immediately.
     pub fn set_element(&self, v: T, i: Index, j: Index) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.lock_completed()?;
-        if i >= st.nrows || j >= st.ncols {
-            return Err(ApiError::InvalidIndex.into());
-        }
-        // Fast path: append into a COO store; repeated setElement stays
-        // O(1) amortized, with last-wins resolution at canonicalization.
-        if !matches!(st.store, MatStore::Coo(_, CooDup::LastWins)) {
-            st.ensure_csr(&ctx, false)?;
-            let coo = Coo::from_csr(st.csr());
-            st.store = MatStore::Coo(Arc::new(coo), CooDup::LastWins);
-            st.transpose_cache = None;
-        }
-        if let MatStore::Coo(coo, _) = &mut st.store {
-            Arc::make_mut(coo).push(i, j, v).map_err(Error::from)?;
-        }
-        st.note_mem(ctx.id());
-        Ok(())
+        self.write_completed(|st, ctx| {
+            if i >= st.nrows || j >= st.ncols {
+                return Err(ApiError::InvalidIndex.into());
+            }
+            // Fast path: append into a COO store; repeated setElement stays
+            // O(1) amortized, with last-wins resolution at canonicalization.
+            if !matches!(st.store, MatStore::Coo(_, CooDup::LastWins)) {
+                st.ensure_csr(ctx, false)?;
+                let coo = Coo::from_csr(st.csr());
+                st.store = MatStore::Coo(Arc::new(coo), CooDup::LastWins);
+                st.transpose_cache = None;
+            }
+            if let MatStore::Coo(coo, _) = &mut st.store {
+                Arc::make_mut(coo).push(i, j, v).map_err(Error::from)?;
+            }
+            Ok(())
+        })
     }
 
     /// Table II scalar variant of `setElement`: an **empty** scalar removes
@@ -649,19 +436,19 @@ impl<T: ValueType> Matrix<T> {
 
     /// `GrB_Matrix_removeElement`.
     pub fn remove_element(&self, i: Index, j: Index) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.lock_completed()?;
-        if i >= st.nrows || j >= st.ncols {
-            return Err(ApiError::InvalidIndex.into());
-        }
-        st.ensure_csr(&ctx, true)?;
-        if st.csr().get(i, j).is_some() {
-            let filtered = st
-                .csr()
-                .filter_map_with_index(&ctx, |r, c, v| ((r, c) != (i, j)).then(|| v.clone()));
-            st.store = MatStore::Csr(Arc::new(filtered));
-        }
-        Ok(())
+        self.write_completed(|st, ctx| {
+            if i >= st.nrows || j >= st.ncols {
+                return Err(ApiError::InvalidIndex.into());
+            }
+            st.ensure_csr(ctx, true)?;
+            if st.csr().get(i, j).is_some() {
+                let filtered = st
+                    .csr()
+                    .filter_map_with_index(ctx, |r, c, v| ((r, c) != (i, j)).then(|| v.clone()));
+                st.store = MatStore::Csr(Arc::new(filtered));
+            }
+            Ok(())
+        })
     }
 
     /// `GrB_Matrix_extractElement`: `Ok(None)` is the C API's
@@ -683,11 +470,9 @@ impl<T: ValueType> Matrix<T> {
     /// sequence (§VI).
     pub fn extract_element_scalar(&self, s: &Scalar<T>, i: Index, j: Index) -> GrbResult {
         s.check_context(&self.context())?;
-        {
-            let st = self.inner.state.lock();
-            if i >= st.nrows || j >= st.ncols {
-                return Err(ApiError::InvalidIndex.into());
-            }
+        let (nrows, ncols) = self.shape();
+        if i >= nrows || j >= ncols {
+            return Err(ApiError::InvalidIndex.into());
         }
         let this = self.clone();
         s.apply_write(Box::new(move |slot: &mut Option<T>| {
@@ -822,7 +607,7 @@ impl<T: ValueType> Matrix<T> {
     /// now, which may lag the sequence.
     pub fn stats(&self) -> ObjectStats {
         let ctx_id = self.context().id();
-        let st = self.inner.state.lock();
+        let st = self.lock_raw();
         let (format, nvals) = match &st.store {
             MatStore::Csr(a) => ("csr", a.nnz()),
             MatStore::Csc(a) => ("csc", a.nnz()),
@@ -851,13 +636,7 @@ impl<T: ValueType> Matrix<T> {
     /// `GrB_error`: the implementation-defined description of this
     /// object's error state; empty when healthy. Thread safe.
     pub fn error_string(&self) -> String {
-        self.inner
-            .state
-            .lock()
-            .err
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_default()
+        self.inner.error_string()
     }
 
     /// Whether two handles denote the same object.
@@ -865,31 +644,13 @@ impl<T: ValueType> Matrix<T> {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
 
+    /// Number of queued (not yet executed) stages — observability hook for
+    /// tests and the fusion bench.
+    pub fn pending_len(&self) -> usize {
+        self.inner.pending_len()
+    }
+
     // --- crate-internal plumbing ------------------------------------------
-
-    /// Locks state without draining (format inspection only).
-    pub(crate) fn lock_raw(&self) -> graphblas_exec::sync::MutexGuard<'_, MatrixState<T>> {
-        self.inner.state.lock()
-    }
-
-    /// Locks state and drains the pending queue first.
-    pub(crate) fn lock_completed(
-        &self,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, MatrixState<T>>> {
-        self.lock_completed_as("read")
-    }
-
-    /// [`Self::lock_completed`] with an explicit force cause for the
-    /// `DagForce` decision event.
-    pub(crate) fn lock_completed_as(
-        &self,
-        cause: &'static str,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, MatrixState<T>>> {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        st.drain_as(&ctx, cause)?;
-        Ok(st)
-    }
 
     /// Completes and returns a cheap CSR snapshot (optionally row-sorted) —
     /// the value of this object *at this point in the sequence*.
@@ -914,171 +675,8 @@ impl<T: ValueType> Matrix<T> {
 
     /// Current logical shape.
     pub(crate) fn shape(&self) -> (Index, Index) {
-        let st = self.inner.state.lock();
+        let st = self.lock_raw();
         (st.nrows, st.ncols)
-    }
-
-    /// Runs `stage` now (blocking) or appends it to the sequence
-    /// (nonblocking).
-    pub(crate) fn apply_write(
-        &self,
-        stage: Box<dyn FnOnce(&mut MatrixState<T>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Opaque(stage));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = stage(&mut st);
-                if let Err(Error::Execution(exec)) = &r {
-                    st.err = Some(exec.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Enqueues a lazy op-DAG node (§III); see `Vector::apply_node` for
-    /// the mode/fallback contract.
-    pub(crate) fn apply_node(
-        &self,
-        kind: NodeKind,
-        exec: Box<dyn FnOnce(&mut MatrixState<T>, Vec<MapFn<T>>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking if crate::dag::dag_enabled() => {
-                st.pending.push(Stage::Node { kind, exec });
-                let depth = st.pending.len();
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::dag()
-                        .nodes_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(depth);
-                }
-                drop(st);
-                self.maybe_async_drain(depth);
-                Ok(())
-            }
-            Mode::NonBlocking => {
-                st.pending
-                    .push(Stage::Opaque(Box::new(move |st| exec(st, Vec::new()))));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = exec(&mut st, Vec::new());
-                if let Err(Error::Execution(exec_err)) = &r {
-                    st.err = Some(exec_err.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Hands this container's backlog to the worker pool once it crosses
-    /// the depth threshold (see `Vector::maybe_async_drain` for the
-    /// no-double-drain argument).
-    fn maybe_async_drain(&self, depth: usize) {
-        if !crate::dag::async_drain_enabled() || depth < crate::dag::async_drain_depth() {
-            return;
-        }
-        if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::dag()
-                .async_drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let this = self.clone();
-        let ctx = self.context();
-        graphblas_exec::pool::global_pool().spawn_static(Box::new(move || {
-            let mut st = this.inner.state.lock();
-            // A failed drain leaves the §V sticky error for the next
-            // reader; the background task has no caller to report to.
-            let _ = st.drain_as(&ctx, "async");
-        }));
-    }
-
-    /// Appends a fusible element-wise stage (nonblocking) or applies it
-    /// immediately (blocking).
-    pub(crate) fn apply_map(&self, f: MapFn<T>) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Map(f));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .maps_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                st.ensure_csr(&ctx, false)?;
-                let out = st
-                    .csr()
-                    .filter_map_with_index(&ctx, |i, j, v| f(&[i, j], v));
-                st.store = MatStore::Csr(Arc::new(out));
-                st.note_mem(ctx.id());
-                Ok(())
-            }
-        }
-    }
-
-    /// Number of queued (not yet executed) stages — observability hook for
-    /// tests and the fusion bench.
-    pub fn pending_len(&self) -> usize {
-        self.inner.state.lock().pending.len()
-    }
-
-    /// Type-erased object identity, comparable across element types (used
-    /// to detect in-place `apply`/`select` for stage fusion).
-    pub(crate) fn addr(&self) -> usize {
-        Arc::as_ptr(&self.inner) as *const () as usize
-    }
-
-    /// Validates the §IV same-context rule against `ctx`.
-    pub(crate) fn check_context(&self, ctx: &Context) -> GrbResult {
-        if self.context().same(ctx) {
-            Ok(())
-        } else {
-            Err(ApiError::ContextMismatch.into())
-        }
     }
 }
 
@@ -1088,7 +686,7 @@ impl<T: ValueType> crate::introspect::Check for Matrix<T> {
     /// that a poisoned object holds no pending stages. Never forces
     /// completion — like [`Matrix::stats`], it observes without perturbing.
     fn grb_check(&self) -> Result<(), crate::introspect::CheckError> {
-        self.inner.state.lock().check()
+        self.lock_raw().check()
     }
 }
 
@@ -1130,7 +728,7 @@ impl<T: ValueType + std::fmt::Display> Matrix<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas_exec::{global_context, ContextOptions};
+    use graphblas_exec::{global_context, ContextOptions, Mode};
 
     #[test]
     fn new_validates_dimensions() {
@@ -1337,6 +935,7 @@ mod tests {
 
     #[test]
     fn container_mem_reports_to_ctx_ledger() {
+        let _g = crate::obs_flag_lock();
         let was = graphblas_obs::enabled();
         graphblas_obs::set_enabled(true);
         // A private context isolates this test's ledger entry from the
@@ -1352,6 +951,17 @@ mod tests {
             .own
             .mem_live;
         assert!(live > 0, "a populated CSR store must charge the ledger");
+        // An immediate method that shrinks the store must shrink the
+        // ledger with it, not leave the old bytes until the next drain.
+        m.resize(1, 1).unwrap();
+        let shrunk = graphblas_obs::ctxreg::context_stats(ctx.id())
+            .unwrap()
+            .own
+            .mem_live;
+        assert!(
+            shrunk < live,
+            "resize must release the dropped store bytes ({live} -> {shrunk})"
+        );
         drop(m);
         let after = graphblas_obs::ctxreg::context_stats(ctx.id())
             .unwrap()

@@ -18,7 +18,7 @@ use crate::operations::{
     eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
 };
 use crate::ops::{registry, BinaryOp, IndexUnaryOp, UnaryOp};
-use crate::pending::{MapFn, NodeKind};
+use crate::pending::{Container, MapFn, NodeKind};
 use crate::scalar::Scalar;
 use crate::types::{MaskValue, ValueType};
 use crate::vector::{VecStore, Vector};

@@ -16,7 +16,7 @@ use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
 use crate::matrix::{MatStore, Matrix};
 use crate::operations::{note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask};
 use crate::ops::BinaryOp;
-use crate::pending::NodeKind;
+use crate::pending::{Container, NodeKind};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 use crate::vector::{VecStore, Vector};

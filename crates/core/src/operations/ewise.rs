@@ -17,7 +17,7 @@ use crate::operations::{
     eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
 };
 use crate::ops::{registry, BinaryOp};
-use crate::pending::NodeKind;
+use crate::pending::{Container, NodeKind};
 use crate::types::{MaskValue, ValueType};
 use crate::vector::{VecStore, Vector};
 use crate::write;

@@ -12,7 +12,7 @@ use crate::operations::{
     eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand, snapshot_vecmask,
 };
 use crate::ops::BinaryOp;
-use crate::pending::NodeKind;
+use crate::pending::{Container, NodeKind};
 use crate::types::{Index, MaskValue, ValueType};
 use crate::vector::{VecStore, Vector};
 use crate::write;

@@ -7,7 +7,7 @@ use crate::error::{ApiError, Error, GrbResult};
 use crate::matrix::{MatStore, Matrix};
 use crate::operations::{eff_shape, note_dag_fusion, snapshot_matmask, snapshot_operand};
 use crate::ops::BinaryOp;
-use crate::pending::NodeKind;
+use crate::pending::{Container, NodeKind};
 use crate::types::{MaskValue, ValueType};
 use crate::write;
 

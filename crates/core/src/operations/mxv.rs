@@ -25,7 +25,7 @@ use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
 use crate::operations::{eff_shape, note_dag_fusion, snapshot_operand, snapshot_vecmask};
 use crate::ops::{registry, BinaryOp, Semiring};
-use crate::pending::{fuse_maps, NodeKind};
+use crate::pending::{fuse_maps, Container, NodeKind};
 use crate::types::{MaskValue, ValueType};
 use crate::vector::{Frontier, VecStore, Vector};
 use crate::write::{self, VecMask};
@@ -520,8 +520,7 @@ mod tests {
     /// Serializes tests that flip the process-global direction override
     /// or read obs counter deltas.
     fn serialize() -> std::sync::MutexGuard<'static, ()> {
-        static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        M.lock().unwrap_or_else(|e| e.into_inner())
+        crate::obs_flag_lock()
     }
 
     fn graph() -> Matrix<i64> {

@@ -15,7 +15,7 @@ use crate::error::{ApiError, GrbResult};
 use crate::matrix::Matrix;
 use crate::operations::{eff_shape, note_dag_fusion, snapshot_operand, snapshot_vecmask};
 use crate::ops::{registry, BinaryOp, Monoid};
-use crate::pending::NodeKind;
+use crate::pending::{Container, NodeKind};
 use crate::scalar::Scalar;
 use crate::types::{MaskValue, ValueType};
 use crate::vector::{VecStore, Vector};

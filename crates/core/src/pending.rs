@@ -1,4 +1,5 @@
-//! Completion and deferred execution (paper §III and §V).
+//! Completion and deferred execution (paper §III and §V): the pending
+//! engine shared by `Matrix`, `Vector` and `Scalar`.
 //!
 //! In nonblocking mode a GraphBLAS object is defined by its *sequence* of
 //! method calls; the implementation may defer, reorder, or **fuse**
@@ -13,10 +14,11 @@
 //!   and reads the `graphblas-obs` fusion counters (`fusion_hits`,
 //!   `map_traversals`) to verify the fusion actually happened; a run of
 //!   `n` consecutive maps reports one traversal and `n − 1` fusion hits.
-//! * [`Stage::Opaque`] — everything else: an arbitrary deferred operation
-//!   that was given snapshots of its *other* inputs at enqueue time
-//!   (sequence order fixes input values at call time) and reads/writes the
-//!   owning container's state when drained.
+//! * [`Stage::Opaque`] — an arbitrary deferred operation that was given
+//!   snapshots of its *other* inputs at enqueue time (sequence order fixes
+//!   input values at call time) and reads/writes the owning container's
+//!   state when drained: `build`, `extractElement` into a scalar, and
+//!   reductions into a scalar.
 //! * [`Stage::Node`] — a lazy op-DAG node (mxv/vxm/mxm/eWise/assign/…):
 //!   like `Opaque`, but fusion-aware. At drain time the engine hands the
 //!   node every *trailing* consecutive `Map` stage from the queue; the
@@ -29,16 +31,35 @@
 //!   intermediate materialization disappears entirely — §III's
 //!   cross-operation "fuse operations" latitude.
 //!
+//! The engine has three parts, each written once:
+//!
+//! * `Store` — what a container's state supplies: its store format, one
+//!   map pass over its stored elements, its memory ledger and its
+//!   invariants. `MatrixState`, `VectorState` and a scalar's `Option<T>`
+//!   implement it.
+//! * `State` — a store plus its queue and §V sticky error, with the one
+//!   drain state machine (`State::drain_as`): calls run in sequence
+//!   order, and an execution error poisons the object.
+//! * `Handle` and `Container` — the `{ context, state }` object behind
+//!   every handle, and the enqueue arms: a nonblocking context appends
+//!   the stage; a blocking context completes the sequence and runs it
+//!   now. Those are the paper's two execution modes, and the only ones.
+//!
 //! `wait(Complete)` drains the queue — the object can then participate in
 //! a cross-thread happens-before edge. `wait(Materialize)` additionally
 //! brings storage to canonical form (CSR, sorted rows, owned exclusively)
 //! and guarantees no further errors can be reported from the drained
 //! sequence (§V).
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use crate::error::GrbResult;
-use crate::types::Index;
+use graphblas_exec::sync::{Mutex, MutexGuard, RwLock};
+use graphblas_exec::{Context, Mode};
+
+use crate::error::{ApiError, Error, ExecutionError, GrbResult};
+use crate::introspect::CheckError;
+use crate::types::{Index, ValueType};
 
 /// The two flavours of `GrB_wait` (§III `GrB_COMPLETE`, §V
 /// `GrB_MATERIALIZE`).
@@ -104,7 +125,7 @@ impl NodeKind {
 }
 
 /// A deferred stage in a container's sequence. `St` is the container's
-/// state type (matrix or vector state).
+/// store type (a `Store`: matrix, vector or scalar state).
 pub enum Stage<St, T> {
     /// Fusible in-place element-wise transform.
     Map(MapFn<T>),
@@ -132,14 +153,517 @@ impl<St, T> Stage<St, T> {
 /// Composes a run of map stages into a single per-element closure:
 /// stages apply in sequence order; the first `None` annihilates.
 pub fn fuse_maps<T: Clone>(run: &[MapFn<T>], indices: &[Index], v: &T) -> Option<T> {
-    let mut cur = v.clone();
-    for f in run {
-        match f(indices, &cur) {
-            Some(next) => cur = next,
-            None => return None,
-        }
+    let Some((first, rest)) = run.split_first() else {
+        return Some(v.clone());
+    };
+    let mut cur = first(indices, v)?;
+    for f in rest {
+        cur = f(indices, &cur)?;
     }
     Some(cur)
+}
+
+/// What a container's state supplies to the pending engine. Everything
+/// else — the queue, the drain state machine, the enqueue arms of both
+/// execution modes — is written once in this module.
+pub(crate) trait Store: Send + Sized + 'static {
+    /// Element domain of the container's map stages.
+    type Elem: ValueType;
+    /// Object kind (`"matrix"`), for invariant-violation panics.
+    const KIND: &'static str;
+    /// `op` label of the drain's decision events (`"matrix.drain"`).
+    const DRAIN_OP: &'static str;
+
+    /// Brings the store to the form a map pass reads and returns its
+    /// stored-element count.
+    fn map_input(&mut self, ctx: &Context) -> GrbResult<usize>;
+
+    /// Applies `run` to every stored element as one traversal (after
+    /// [`Store::map_input`]) and returns the stored-element count after.
+    fn map_pass(&mut self, ctx: &Context, run: &[MapFn<Self::Elem>]) -> usize;
+
+    /// Reconciles the store's bytes with the `obs::mem` container gauge
+    /// and the context's memory ledger (see [`MemLedger`]).
+    fn note_mem(&mut self, _ctx_id: u64) {}
+
+    /// Table III invariants of the store and its shape agreement.
+    fn check(&self) -> Result<(), CheckError> {
+        Ok(())
+    }
+
+    /// Debug-build gate over [`Store::check`], called after the store
+    /// canonicalizations. Compiles to nothing in release builds.
+    #[inline]
+    fn debug_check(&self) {
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.check() {
+            panic!("{} container invariant violated: {e}", Self::KIND);
+        }
+    }
+}
+
+/// Store bytes a container last charged to the `obs::mem` container
+/// gauge and its context's memory ledger; released on drop.
+#[derive(Default)]
+pub(crate) struct MemLedger {
+    /// Bytes last reported (0 when telemetry was off at the last
+    /// reconciliation).
+    bytes: u64,
+    /// Context id the bytes were charged to.
+    ctx: u64,
+}
+
+impl MemLedger {
+    /// Charges `store_bytes()` to `ctx_id`. Cheap when telemetry is off
+    /// (one relaxed load, nothing recorded) and self-correcting across
+    /// toggles and context switches: it always releases exactly what it
+    /// previously recorded before charging the new figure.
+    pub(crate) fn note(&mut self, ctx_id: u64, store_bytes: impl FnOnce() -> u64) {
+        let enabled = graphblas_obs::enabled();
+        if !enabled && self.bytes == 0 {
+            return;
+        }
+        if ctx_id != self.ctx && self.bytes != 0 {
+            // The handle moved contexts: zero the old ledger entry first.
+            graphblas_obs::mem::adjust_container(self.ctx, self.bytes, 0);
+            self.bytes = 0;
+        }
+        self.ctx = ctx_id;
+        let new = if enabled { store_bytes() } else { 0 };
+        if new != self.bytes {
+            graphblas_obs::mem::adjust_container(ctx_id, self.bytes, new);
+            self.bytes = new;
+        }
+    }
+}
+
+impl Drop for MemLedger {
+    fn drop(&mut self) {
+        if self.bytes != 0 {
+            graphblas_obs::mem::adjust_container(self.ctx, self.bytes, 0);
+        }
+    }
+}
+
+/// A container's state under the engine: its store `data`, the deferred
+/// sequence, and the §V sticky error. Derefs to the store, so container
+/// code reads `st.store`, `st.nrows`, … through a lock guard directly.
+pub(crate) struct State<S: Store> {
+    /// Queued, not yet executed stages, in sequence order.
+    pub pending: Vec<Stage<S, S::Elem>>,
+    /// The sticky execution error poisoning the object (§V).
+    pub err: Option<ExecutionError>,
+    /// The container's store.
+    pub data: S,
+}
+
+impl<S: Store> std::ops::Deref for State<S> {
+    type Target = S;
+    fn deref(&self) -> &S {
+        &self.data
+    }
+}
+
+impl<S: Store> std::ops::DerefMut for State<S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.data
+    }
+}
+
+impl<S: Store> State<S> {
+    /// The §V rule: a poisoned object reports its error at every method.
+    pub(crate) fn fail_if_poisoned(&self) -> GrbResult {
+        match &self.err {
+            Some(e) => Err(Error::Execution(e.clone())),
+            None => Ok(()),
+        }
+    }
+
+    /// Drains the pending queue, fusing runs of map stages into single
+    /// traversals. `cause` is the force cause of the `DagForce` decision
+    /// event ("read", "wait", "async", "self-input"). On an execution
+    /// error the object is poisoned (§V: the output's contents become
+    /// undefined; we record the error and keep it sticky) and the rest of
+    /// the sequence is dropped.
+    pub(crate) fn drain_as(&mut self, ctx: &Context, cause: &'static str) -> GrbResult {
+        self.fail_if_poisoned()?;
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let obs_on = graphblas_obs::enabled();
+        let _sp = obs_on.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
+        if obs_on {
+            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            graphblas_obs::counters::pending()
+                .drains
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let pending = std::mem::take(&mut self.pending);
+        if pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
+            if obs_on {
+                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+                graphblas_obs::counters::dag()
+                    .forces
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            if graphblas_obs::events::on() {
+                graphblas_obs::events::decision_dag_force(
+                    S::DRAIN_OP,
+                    ctx.id(),
+                    cause,
+                    pending.len() as u64,
+                );
+            }
+        }
+        let mut stages = pending.into_iter().peekable();
+        let mut run: Vec<MapFn<S::Elem>> = Vec::new();
+        let result = (|| {
+            while let Some(stage) = stages.next() {
+                match stage {
+                    Stage::Map(f) => run.push(f),
+                    Stage::Opaque(f) => {
+                        self.flush_map_run(ctx, &mut run, "opaque-barrier")?;
+                        if obs_on {
+                            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+                            graphblas_obs::counters::pending()
+                                .opaque_drains
+                                .fetch_add(1, Ordering::Relaxed);
+                            graphblas_obs::events::decision_opaque_drain(S::DRAIN_OP, ctx.id());
+                        }
+                        let _ph = graphblas_obs::timeline::phase("drain.opaque");
+                        f(&mut self.data)?;
+                    }
+                    Stage::Node { kind: _, exec } => {
+                        // Maps *before* a node transform this container's
+                        // pre-node value: they must land first.
+                        self.flush_map_run(ctx, &mut run, "node-barrier")?;
+                        // Maps *after* the node transform its output: hand
+                        // the whole trailing run to the node so it fuses
+                        // them into its kernel (or one result pass).
+                        let mut post: Vec<MapFn<S::Elem>> = Vec::new();
+                        while matches!(stages.peek(), Some(Stage::Map(_))) {
+                            if let Some(Stage::Map(f)) = stages.next() {
+                                post.push(f);
+                            }
+                        }
+                        let _ph = graphblas_obs::timeline::phase("drain.node");
+                        exec(&mut self.data, post)?;
+                    }
+                }
+            }
+            self.flush_map_run(ctx, &mut run, "queue-end")
+        })();
+        if let Err(e) = &result {
+            if let Error::Execution(exec) = e {
+                self.err = Some(exec.clone());
+                if obs_on {
+                    // The error surfaced at drain time, not at the call
+                    // that caused it — the §V deferral the paper promises.
+                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+                    graphblas_obs::counters::pending()
+                        .errors_deferred
+                        .fetch_add(1, Ordering::Relaxed);
+                    graphblas_obs::events::decision_error_deferred(S::DRAIN_OP, ctx.id());
+                }
+            }
+            self.pending.clear();
+        }
+        self.data.note_mem(ctx.id());
+        self.debug_check();
+        result
+    }
+
+    /// Executes a run of queued maps as one traversal of the store.
+    fn flush_map_run(
+        &mut self,
+        ctx: &Context,
+        run: &mut Vec<MapFn<S::Elem>>,
+        trigger: &'static str,
+    ) -> GrbResult {
+        if run.is_empty() {
+            return Ok(());
+        }
+        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::MapFuse, ctx.id());
+        if sp.active() {
+            let p = graphblas_obs::counters::pending();
+            // A run of n maps executes as ONE traversal; the other n−1
+            // stages were absorbed into it — each is a fusion hit.
+            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            p.map_traversals.fetch_add(1, Ordering::Relaxed);
+            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            p.fusion_hits
+                .fetch_add(run.len() as u64 - 1, Ordering::Relaxed);
+        }
+        let nnz = self.data.map_input(ctx)?;
+        let nnz_in = if sp.active() { nnz as u64 } else { 0 };
+        if graphblas_obs::events::on() {
+            graphblas_obs::events::decision_fuse_flush(
+                S::DRAIN_OP,
+                ctx.id(),
+                run.len() as u64,
+                nnz_in,
+                trigger,
+            );
+        }
+        let nnz_out = self.data.map_pass(ctx, run);
+        if sp.active() {
+            sp.io(
+                nnz_in * run.len() as u64,
+                nnz_in,
+                nnz_out as u64,
+                nnz_in * std::mem::size_of::<S::Elem>() as u64,
+            );
+        }
+        run.clear();
+        Ok(())
+    }
+
+    /// The blocking arm: completes the sequence, runs `stage` now, and
+    /// poisons the object if it fails with an execution error.
+    fn run_now(&mut self, ctx: &Context, stage: Stage<S, S::Elem>) -> GrbResult {
+        self.drain_as(ctx, "read")?;
+        let r = match stage {
+            Stage::Opaque(f) => f(&mut self.data),
+            Stage::Node { kind: _, exec } => exec(&mut self.data, Vec::new()),
+            Stage::Map(f) => self.data.map_input(ctx).map(|_| {
+                self.data.map_pass(ctx, &[f]);
+            }),
+        };
+        if let Err(Error::Execution(e)) = &r {
+            self.err = Some(e.clone());
+        }
+        self.data.note_mem(ctx.id());
+        r
+    }
+
+    /// Deep validation: the store's invariants plus the §V rule that a
+    /// poisoned object holds no pending stages.
+    pub(crate) fn check(&self) -> Result<(), CheckError> {
+        self.data.check()?;
+        if self.err.is_some() && !self.pending.is_empty() {
+            return Err(CheckError::PendingAfterError {
+                pending: self.pending.len(),
+            });
+        }
+        Ok(())
+    }
+
+    /// Debug-build invariant gate, called at kernel boundaries (after a
+    /// drain and the store canonicalizations). Compiles to nothing in
+    /// release builds.
+    #[inline]
+    pub(crate) fn debug_check(&self) {
+        #[cfg(debug_assertions)]
+        if let Err(e) = self.check() {
+            panic!("{} container invariant violated: {e}", S::KIND);
+        }
+    }
+}
+
+/// The object behind every container handle: its context (§IV) and its
+/// state. Cloned handles share one `Arc<Handle>`, exactly like copied
+/// `GrB_*` handles in C. The mutex gives the §III thread-safety guarantee;
+/// completion, not locking, makes a sequence's results visible to
+/// another thread.
+pub(crate) struct Handle<S: Store> {
+    ctx: RwLock<Context>,
+    state: Mutex<State<S>>,
+}
+
+impl<S: Store> Handle<S> {
+    /// A handle in `ctx` over a clean `data` store (no pending stages, no
+    /// error), charged to the context's memory ledger.
+    pub(crate) fn new(ctx: &Context, mut data: S) -> Arc<Self> {
+        data.note_mem(ctx.id());
+        Arc::new(Handle {
+            ctx: RwLock::new(ctx.clone()),
+            state: Mutex::new(State {
+                pending: Vec::new(),
+                err: None,
+                data,
+            }),
+        })
+    }
+
+    /// The context this object belongs to (§IV).
+    pub(crate) fn context(&self) -> Context {
+        self.ctx.read().clone()
+    }
+
+    /// `GrB_Context_switch`: moves the object to another context.
+    pub(crate) fn switch_context(&self, ctx: &Context) -> GrbResult {
+        *self.ctx.write() = ctx.clone();
+        Ok(())
+    }
+
+    /// `GrB_error`: the object's error description; empty when healthy.
+    pub(crate) fn error_string(&self) -> String {
+        self.state
+            .lock()
+            .err
+            .as_ref()
+            .map(|e| e.to_string())
+            .unwrap_or_default()
+    }
+
+    /// Number of queued (not yet executed) stages.
+    pub(crate) fn pending_len(&self) -> usize {
+        self.state.lock().pending.len()
+    }
+}
+
+/// A GraphBLAS object running on the pending engine. `Matrix`, `Vector`
+/// and `Scalar` implement only [`Container::handle`]; the locking,
+/// completion and enqueue plumbing below is shared.
+pub(crate) trait Container {
+    /// The container's store.
+    type St: Store;
+
+    /// The shared object behind this handle.
+    fn handle(&self) -> &Arc<Handle<Self::St>>;
+
+    /// Locks state without draining (format inspection only).
+    fn lock_raw(&self) -> MutexGuard<'_, State<Self::St>> {
+        self.handle().state.lock()
+    }
+
+    /// Locks state and drains the pending queue first.
+    fn lock_completed(&self) -> GrbResult<MutexGuard<'_, State<Self::St>>> {
+        self.lock_completed_as("read")
+    }
+
+    /// [`Container::lock_completed`] with an explicit force cause for the
+    /// `DagForce` decision event.
+    fn lock_completed_as(&self, cause: &'static str) -> GrbResult<MutexGuard<'_, State<Self::St>>> {
+        let ctx = self.handle().context();
+        let mut st = self.lock_raw();
+        st.drain_as(&ctx, cause)?;
+        Ok(st)
+    }
+
+    /// Completes the sequence and runs `f` on the store now, whatever the
+    /// mode — the immediate methods (`setElement`, `removeElement`,
+    /// `resize`). Always reconciles the memory ledger afterwards.
+    fn write_completed<R>(
+        &self,
+        f: impl FnOnce(&mut Self::St, &Context) -> GrbResult<R>,
+    ) -> GrbResult<R> {
+        let ctx = self.handle().context();
+        let mut st = self.lock_raw();
+        st.drain_as(&ctx, "read")?;
+        let r = f(&mut st.data, &ctx);
+        st.data.note_mem(ctx.id());
+        r
+    }
+
+    /// `clear`: drops the pending sequence and the sticky error, then lets
+    /// `reset` rebuild the store.
+    fn clear_with(&self, reset: impl FnOnce(&mut Self::St)) {
+        let ctx_id = self.handle().context().id();
+        let mut st = self.lock_raw();
+        st.pending.clear();
+        st.err = None;
+        reset(&mut st.data);
+        st.data.note_mem(ctx_id);
+    }
+
+    /// Runs an opaque `stage` now (blocking) or appends it to the
+    /// sequence (nonblocking).
+    fn apply_write(&self, stage: Box<dyn FnOnce(&mut Self::St) -> GrbResult + Send>) -> GrbResult {
+        self.enqueue(Stage::Opaque(stage))
+    }
+
+    /// Enqueues a lazy op-DAG node (§III). In nonblocking mode `exec`
+    /// defers as a [`Stage::Node`] and receives the run of trailing map
+    /// stages at drain time (it must apply them — via its fused kernel or
+    /// one pass over its result); in blocking mode it runs now with an
+    /// empty run.
+    fn apply_node(
+        &self,
+        kind: NodeKind,
+        exec: Box<
+            dyn FnOnce(&mut Self::St, Vec<MapFn<<Self::St as Store>::Elem>>) -> GrbResult + Send,
+        >,
+    ) -> GrbResult {
+        self.enqueue(Stage::Node { kind, exec })
+    }
+
+    /// Appends a fusible element-wise stage (nonblocking) or applies it
+    /// immediately (blocking).
+    fn apply_map(&self, f: MapFn<<Self::St as Store>::Elem>) -> GrbResult {
+        self.enqueue(Stage::Map(f))
+    }
+
+    /// The two execution modes of §III, for every kind of stage.
+    fn enqueue(&self, stage: Stage<Self::St, <Self::St as Store>::Elem>) -> GrbResult {
+        let handle = self.handle();
+        let ctx = handle.context();
+        let mut st = self.lock_raw();
+        st.fail_if_poisoned()?;
+        if ctx.mode() == Mode::Blocking {
+            return st.run_now(&ctx, stage);
+        }
+        let is_node = matches!(stage, Stage::Node { .. });
+        let counter = match &stage {
+            Stage::Map(_) => &graphblas_obs::counters::pending().maps_enqueued,
+            Stage::Opaque(_) => &graphblas_obs::counters::pending().opaques_enqueued,
+            Stage::Node { .. } => &graphblas_obs::counters::dag().nodes_enqueued,
+        };
+        st.pending.push(stage);
+        let depth = st.pending.len();
+        drop(st);
+        if graphblas_obs::enabled() {
+            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+            counter.fetch_add(1, Ordering::Relaxed);
+            graphblas_obs::counters::note_pending_depth(depth);
+        }
+        if is_node {
+            maybe_async_drain(handle, &ctx, depth);
+        }
+        Ok(())
+    }
+
+    /// Type-erased object identity, comparable across element types (used
+    /// to detect in-place `apply`/`select` for stage fusion).
+    fn addr(&self) -> usize {
+        Arc::as_ptr(self.handle()) as *const () as usize
+    }
+
+    /// Validates the §IV same-context rule against `ctx`.
+    fn check_context(&self, ctx: &Context) -> GrbResult {
+        if self.handle().context().same(ctx) {
+            Ok(())
+        } else {
+            Err(ApiError::ContextMismatch.into())
+        }
+    }
+}
+
+/// Hands a container's backlog to the worker pool once its queue depth
+/// crosses the `GRB_ASYNC_DRAIN_DEPTH` threshold. The threshold keeps
+/// short op chains intact (so node drains still find trailing maps to
+/// fuse); the per-container mutex serializes the background drain against
+/// readers, and a drain of an already-empty queue is a no-op — so racing
+/// forces cannot double-drain.
+fn maybe_async_drain<S: Store>(handle: &Arc<Handle<S>>, ctx: &Context, depth: usize) {
+    if !crate::dag::async_drain_enabled() || depth < crate::dag::async_drain_depth() {
+        return;
+    }
+    if graphblas_obs::enabled() {
+        // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
+        graphblas_obs::counters::dag()
+            .async_drains
+            .fetch_add(1, Ordering::Relaxed);
+    }
+    let this = handle.clone();
+    let ctx = ctx.clone();
+    graphblas_exec::pool::global_pool().spawn_static(Box::new(move || {
+        let mut st = this.state.lock();
+        // A failed drain leaves the §V sticky error in place for the next
+        // reader to surface; the background task has no caller to report
+        // to.
+        let _ = st.drain_as(&ctx, "async");
+    }));
 }
 
 #[cfg(test)]

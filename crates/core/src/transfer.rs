@@ -21,6 +21,7 @@ use graphblas_sparse::{Coo, Csc, Csr, Dense, DenseVec, Layout, SparseVec};
 
 use crate::error::{ApiError, Error, ExecErrorKind, GrbResult};
 use crate::matrix::{CooDup, MatStore, Matrix, MatrixState};
+use crate::pending::Container;
 use crate::types::{Index, ValueType};
 use crate::vector::{VecStore, Vector, VectorState};
 

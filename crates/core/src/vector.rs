@@ -4,14 +4,13 @@
 
 use std::sync::Arc;
 
-use graphblas_exec::sync::{Mutex, RwLock};
-use graphblas_exec::{Context, Mode};
+use graphblas_exec::Context;
 use graphblas_sparse::{BitmapVec, DenseVec, SparseVec};
 
-use crate::error::{ApiError, Error, ExecutionError, GrbResult};
+use crate::error::{ApiError, Error, GrbResult};
 use crate::introspect::ObjectStats;
 use crate::ops::BinaryOp;
-use crate::pending::{fuse_maps, MapFn, NodeKind, Stage, WaitMode};
+use crate::pending::{fuse_maps, Container, Handle, MapFn, MemLedger, Stage, Store, WaitMode};
 use crate::scalar::Scalar;
 use crate::types::{Index, MaskValue, ValueType};
 
@@ -74,54 +73,20 @@ impl<T: ValueType> Frontier<T> {
 pub(crate) struct VectorState<T: ValueType> {
     pub n: usize,
     pub store: VecStore<T>,
-    pub pending: Vec<Stage<VectorState<T>, T>>,
-    pub err: Option<ExecutionError>,
-    /// Store bytes last reported to the `obs::mem` container gauge.
-    pub mem_bytes: u64,
-    /// Context id the bytes above were charged to.
-    pub mem_ctx: u64,
-}
-
-impl<T: ValueType> Drop for VectorState<T> {
-    fn drop(&mut self) {
-        if self.mem_bytes != 0 {
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-        }
-    }
+    /// Store bytes charged to the context's memory ledger.
+    pub mem: MemLedger,
 }
 
 impl<T: ValueType> VectorState<T> {
-    /// A clean state (no pending stages, no error) over `store`.
+    /// A clean state over `store`.
     pub(crate) fn fresh(n: usize, store: VecStore<T>) -> Self {
         VectorState {
             n,
             store,
-            pending: Vec::new(),
-            err: None,
-            mem_bytes: 0,
-            mem_ctx: 0,
+            mem: MemLedger::default(),
         }
     }
 
-    /// Reconciles this container's allocated-store bytes with the
-    /// `obs::mem` container gauge and the owning context's memory ledger
-    /// (see `MatrixState::note_mem`).
-    pub(crate) fn note_mem(&mut self, ctx_id: u64) {
-        let enabled = graphblas_obs::enabled();
-        if !enabled && self.mem_bytes == 0 {
-            return;
-        }
-        if ctx_id != self.mem_ctx && self.mem_bytes != 0 {
-            graphblas_obs::mem::adjust_container(self.mem_ctx, self.mem_bytes, 0);
-            self.mem_bytes = 0;
-        }
-        self.mem_ctx = ctx_id;
-        let new = if enabled { self.store.bytes() } else { 0 };
-        if new != self.mem_bytes {
-            graphblas_obs::mem::adjust_container(ctx_id, self.mem_bytes, new);
-            self.mem_bytes = new;
-        }
-    }
     /// Canonicalizes to a sorted, duplicate-free sparse store.
     pub(crate) fn ensure_sparse(&mut self) -> GrbResult {
         // Which real work the canonicalization did, for the provenance
@@ -162,57 +127,6 @@ impl<T: ValueType> VectorState<T> {
         Ok(())
     }
 
-    /// Deep validation of this state: Table III invariants of the current
-    /// store, store-vs-logical length agreement, and §V error bookkeeping.
-    pub(crate) fn check(&self) -> Result<(), crate::introspect::CheckError> {
-        use crate::introspect::CheckError;
-        let len = match &self.store {
-            VecStore::Sparse(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "sparse",
-                    source,
-                })?;
-                a.len()
-            }
-            VecStore::Dense(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "full",
-                    source,
-                })?;
-                a.len()
-            }
-            VecStore::Bitmap(a) => {
-                a.check().map_err(|source| CheckError::Format {
-                    format: "bitmap",
-                    source,
-                })?;
-                a.len()
-            }
-        };
-        if len != self.n {
-            return Err(CheckError::ShapeMismatch {
-                logical: (self.n as u64, 1),
-                store: (len as u64, 1),
-            });
-        }
-        if self.err.is_some() && !self.pending.is_empty() {
-            return Err(CheckError::PendingAfterError {
-                pending: self.pending.len(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Debug-build invariant gate, called at kernel boundaries (after
-    /// `drain` and `ensure_sparse`). Compiles to nothing in release builds.
-    #[inline]
-    pub(crate) fn debug_check(&self) {
-        #[cfg(debug_assertions)]
-        if let Err(e) = self.check() {
-            panic!("vector container invariant violated: {e}");
-        }
-    }
-
     /// Borrows the sparse store (call [`Self::ensure_sparse`] first).
     pub(crate) fn sparse(&self) -> &Arc<SparseVec<T>> {
         match &self.store {
@@ -221,148 +135,15 @@ impl<T: ValueType> VectorState<T> {
         }
     }
 
-    pub(crate) fn drain(&mut self, ctx: &Context) -> GrbResult {
-        self.drain_as(ctx, "read")
-    }
-
-    /// [`Self::drain`] with an explicit force cause for the `DagForce`
-    /// decision event ("read", "wait", "async", "self-input").
-    pub(crate) fn drain_as(&mut self, ctx: &Context, cause: &'static str) -> GrbResult {
-        if let Some(e) = &self.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let obs_on = graphblas_obs::enabled();
-        let _sp = obs_on.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
-        if obs_on {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pending()
-                .drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let pending = std::mem::take(&mut self.pending);
-        if pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
-            if obs_on {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::dag()
-                    .forces
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_dag_force(
-                    "vector.drain",
-                    ctx.id(),
-                    cause,
-                    pending.len() as u64,
-                );
-            }
-        }
-        let mut stages = pending.into_iter().peekable();
-        let mut run: Vec<MapFn<T>> = Vec::new();
-        let result = (|| {
-            while let Some(stage) = stages.next() {
-                match stage {
-                    Stage::Map(f) => run.push(f),
-                    Stage::Opaque(f) => {
-                        self.flush_map_run(ctx, &mut run, "opaque-barrier")?;
-                        if obs_on {
-                            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                            graphblas_obs::counters::pending()
-                                .opaque_drains
-                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            graphblas_obs::events::decision_opaque_drain("vector.drain", ctx.id());
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.opaque");
-                        f(self)?;
-                    }
-                    Stage::Node { kind: _, exec } => {
-                        // Maps *before* a node transform this container's
-                        // pre-node value: they must land first.
-                        self.flush_map_run(ctx, &mut run, "node-barrier")?;
-                        // Maps *after* the node transform its output: hand
-                        // the whole trailing run to the node so it fuses
-                        // them into its kernel (or one result pass).
-                        let mut post: Vec<MapFn<T>> = Vec::new();
-                        while matches!(stages.peek(), Some(Stage::Map(_))) {
-                            if let Some(Stage::Map(f)) = stages.next() {
-                                post.push(f);
-                            }
-                        }
-                        let _ph = graphblas_obs::timeline::phase("drain.node");
-                        exec(self, post)?;
-                    }
-                }
-            }
-            self.flush_map_run(ctx, &mut run, "queue-end")
-        })();
-        if let Err(e) = &result {
-            if let Error::Execution(exec) = e {
-                self.err = Some(exec.clone());
-                if obs_on {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .errors_deferred
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::events::decision_error_deferred("vector.drain", ctx.id());
-                }
-            }
-            self.pending.clear();
-        }
-        self.note_mem(ctx.id());
-        self.debug_check();
-        result
-    }
-
-    fn flush_map_run(
-        &mut self,
-        ctx: &Context,
-        run: &mut Vec<MapFn<T>>,
-        trigger: &'static str,
-    ) -> GrbResult {
-        if run.is_empty() {
-            return Ok(());
-        }
-        let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::MapFuse, ctx.id());
-        if sp.active() {
-            let p = graphblas_obs::counters::pending();
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.map_traversals
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.fusion_hits
-                .fetch_add(run.len() as u64 - 1, std::sync::atomic::Ordering::Relaxed);
-        }
-        self.ensure_sparse()?;
-        let nnz_in = if sp.active() {
-            self.sparse().nnz() as u64
-        } else {
-            0
-        };
-        if graphblas_obs::events::on() {
-            graphblas_obs::events::decision_fuse_flush(
-                "vector.drain",
-                ctx.id(),
-                run.len() as u64,
-                nnz_in,
-                trigger,
-            );
-        }
-        let fused = self
+    /// Applies `run` to every stored element as one pass (call
+    /// [`Self::ensure_sparse`] first); returns the stored-element count.
+    fn fuse_pass(&mut self, run: &[MapFn<T>]) -> usize {
+        let out = self
             .sparse()
             .filter_map_with_index(|i, v| fuse_maps(run, &[i], v));
-        if sp.active() {
-            sp.io(
-                nnz_in * run.len() as u64,
-                nnz_in,
-                fused.nnz() as u64,
-                nnz_in * std::mem::size_of::<T>() as u64,
-            );
-        }
-        self.store = VecStore::Sparse(Arc::new(fused));
-        run.clear();
-        Ok(())
+        let nnz = out.nnz();
+        self.store = VecStore::Sparse(Arc::new(out));
+        nnz
     }
 
     /// Applies a node's trailing (post) map run to the container's final
@@ -374,28 +155,65 @@ impl<T: ValueType> VectorState<T> {
             return Ok(());
         }
         self.ensure_sparse()?;
-        let out = self
-            .sparse()
-            .filter_map_with_index(|i, v| fuse_maps(post, &[i], v));
-        self.store = VecStore::Sparse(Arc::new(out));
+        self.fuse_pass(post);
         Ok(())
     }
 }
 
-struct VectorHandle<T: ValueType> {
-    ctx: RwLock<Context>,
-    state: Mutex<VectorState<T>>,
+impl<T: ValueType> Store for VectorState<T> {
+    type Elem = T;
+    const KIND: &'static str = "vector";
+    const DRAIN_OP: &'static str = "vector.drain";
+
+    fn map_input(&mut self, _ctx: &Context) -> GrbResult<usize> {
+        self.ensure_sparse()?;
+        Ok(self.sparse().nnz())
+    }
+
+    fn map_pass(&mut self, _ctx: &Context, run: &[MapFn<T>]) -> usize {
+        self.fuse_pass(run)
+    }
+
+    fn note_mem(&mut self, ctx_id: u64) {
+        self.mem.note(ctx_id, || self.store.bytes());
+    }
+
+    /// Table III invariants of the current store and store-vs-logical
+    /// length agreement.
+    fn check(&self) -> Result<(), crate::introspect::CheckError> {
+        use crate::introspect::CheckError;
+        let (format, checked, len) = match &self.store {
+            VecStore::Sparse(a) => ("sparse", a.check(), a.len()),
+            VecStore::Dense(a) => ("full", a.check(), a.len()),
+            VecStore::Bitmap(a) => ("bitmap", a.check(), a.len()),
+        };
+        checked.map_err(|source| CheckError::Format { format, source })?;
+        if len != self.n {
+            return Err(CheckError::ShapeMismatch {
+                logical: (self.n as u64, 1),
+                store: (len as u64, 1),
+            });
+        }
+        Ok(())
+    }
 }
 
 /// An opaque handle to a GraphBLAS vector over domain `T`.
 #[derive(Clone)]
 pub struct Vector<T: ValueType> {
-    inner: Arc<VectorHandle<T>>,
+    inner: Arc<Handle<VectorState<T>>>,
+}
+
+impl<T: ValueType> Container for Vector<T> {
+    type St = VectorState<T>;
+    fn handle(&self) -> &Arc<Handle<VectorState<T>>> {
+        &self.inner
+    }
 }
 
 impl<T: ValueType> std::fmt::Debug for Vector<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.inner.state.lock();
+        let st = self.lock_raw();
         write!(
             f,
             "Vector<{}>({}, pending: {})",
@@ -423,13 +241,9 @@ impl<T: ValueType> Vector<T> {
         ))
     }
 
-    pub(crate) fn from_state(ctx: &Context, mut state: VectorState<T>) -> Self {
-        state.note_mem(ctx.id());
+    pub(crate) fn from_state(ctx: &Context, state: VectorState<T>) -> Self {
         Vector {
-            inner: Arc::new(VectorHandle {
-                ctx: RwLock::new(ctx.clone()),
-                state: Mutex::new(state),
-            }),
+            inner: Handle::new(ctx, state),
         }
     }
 
@@ -443,18 +257,17 @@ impl<T: ValueType> Vector<T> {
     }
 
     pub fn context(&self) -> Context {
-        self.inner.ctx.read().clone()
+        self.inner.context()
     }
 
     /// `GrB_Context_switch`.
     pub fn switch_context(&self, ctx: &Context) -> GrbResult {
-        *self.inner.ctx.write() = ctx.clone();
-        Ok(())
+        self.inner.switch_context(ctx)
     }
 
     /// `GrB_Vector_size`.
     pub fn size(&self) -> Index {
-        self.inner.state.lock().n
+        self.lock_raw().n
     }
 
     /// `GrB_Vector_nvals`. Forces completion but not canonicalization —
@@ -473,12 +286,7 @@ impl<T: ValueType> Vector<T> {
     /// `GrB_Vector_clear`: removes all elements, pending stages, and any
     /// sticky error.
     pub fn clear(&self) -> GrbResult {
-        let ctx_id = self.context().id();
-        let mut st = self.inner.state.lock();
-        st.pending.clear();
-        st.err = None;
-        st.store = VecStore::Sparse(Arc::new(SparseVec::empty(st.n)));
-        st.note_mem(ctx_id);
+        self.clear_with(|st| st.store = VecStore::Sparse(Arc::new(SparseVec::empty(st.n))));
         Ok(())
     }
 
@@ -487,39 +295,38 @@ impl<T: ValueType> Vector<T> {
         if n == 0 {
             return Err(ApiError::InvalidValue.into());
         }
-        let mut st = self.lock_completed()?;
-        st.ensure_sparse()?;
-        let old = st.sparse().clone();
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
-        for (i, v) in old.iter() {
-            if i < n {
-                indices.push(i);
-                values.push(v.clone());
+        self.write_completed(|st, _| {
+            st.ensure_sparse()?;
+            let mut indices = Vec::new();
+            let mut values = Vec::new();
+            for (i, v) in st.sparse().iter() {
+                if i < n {
+                    indices.push(i);
+                    values.push(v.clone());
+                }
             }
-        }
-        st.n = n;
-        st.store = VecStore::Sparse(Arc::new(
-            SparseVec::from_parts(n, indices, values).map_err(Error::from)?,
-        ));
-        Ok(())
+            st.n = n;
+            st.store = VecStore::Sparse(Arc::new(
+                SparseVec::from_parts(n, indices, values).map_err(Error::from)?,
+            ));
+            Ok(())
+        })
     }
 
     /// `GrB_Vector_setElement`; scalar-index OOB is an immediate API error.
     pub fn set_element(&self, v: T, i: Index) -> GrbResult {
-        let mut st = self.lock_completed()?;
-        if i >= st.n {
-            return Err(ApiError::InvalidIndex.into());
-        }
-        if !matches!(st.store, VecStore::Sparse(_)) {
-            st.ensure_sparse()?;
-        }
-        if let VecStore::Sparse(sv) = &mut st.store {
-            Arc::make_mut(sv).append(i, v).map_err(Error::from)?;
-        }
-        let ctx_id = self.context().id();
-        st.note_mem(ctx_id);
-        Ok(())
+        self.write_completed(|st, _| {
+            if i >= st.n {
+                return Err(ApiError::InvalidIndex.into());
+            }
+            if !matches!(st.store, VecStore::Sparse(_)) {
+                st.ensure_sparse()?;
+            }
+            if let VecStore::Sparse(sv) = &mut st.store {
+                Arc::make_mut(sv).append(i, v).map_err(Error::from)?;
+            }
+            Ok(())
+        })
     }
 
     /// Table II scalar variant: empty scalar removes the element.
@@ -532,18 +339,18 @@ impl<T: ValueType> Vector<T> {
 
     /// `GrB_Vector_removeElement`.
     pub fn remove_element(&self, i: Index) -> GrbResult {
-        let mut st = self.lock_completed()?;
-        if i >= st.n {
-            return Err(ApiError::InvalidIndex.into());
-        }
-        st.ensure_sparse()?;
-        let sv = st.sparse().clone();
-        if sv.get(i).is_some() {
-            let mut owned = (*sv).clone();
-            owned.remove(i);
-            st.store = VecStore::Sparse(Arc::new(owned));
-        }
-        Ok(())
+        self.write_completed(|st, _| {
+            if i >= st.n {
+                return Err(ApiError::InvalidIndex.into());
+            }
+            st.ensure_sparse()?;
+            if st.sparse().get(i).is_some() {
+                let mut owned = (**st.sparse()).clone();
+                owned.remove(i);
+                st.store = VecStore::Sparse(Arc::new(owned));
+            }
+            Ok(())
+        })
     }
 
     /// `GrB_Vector_extractElement`: `Ok(None)` ≡ `GrB_NO_VALUE`.
@@ -627,7 +434,7 @@ impl<T: ValueType> Vector<T> {
     /// [`Matrix::stats`](crate::matrix::Matrix::stats)).
     pub fn stats(&self) -> ObjectStats {
         let ctx_id = self.context().id();
-        let st = self.inner.state.lock();
+        let st = self.lock_raw();
         let (format, nvals) = match &st.store {
             VecStore::Sparse(a) => ("sparse", a.nnz()),
             VecStore::Dense(a) => ("full", a.len()),
@@ -653,13 +460,7 @@ impl<T: ValueType> Vector<T> {
 
     /// `GrB_error`.
     pub fn error_string(&self) -> String {
-        self.inner
-            .state
-            .lock()
-            .err
-            .as_ref()
-            .map(|e| e.to_string())
-            .unwrap_or_default()
+        self.inner.error_string()
     }
 
     pub fn same_object(&self, other: &Self) -> bool {
@@ -668,33 +469,10 @@ impl<T: ValueType> Vector<T> {
 
     /// Number of queued stages (observability for tests/benches).
     pub fn pending_len(&self) -> usize {
-        self.inner.state.lock().pending.len()
+        self.inner.pending_len()
     }
 
     // --- crate-internal plumbing ------------------------------------------
-
-    /// Locks state without draining (format inspection only).
-    pub(crate) fn lock_raw(&self) -> graphblas_exec::sync::MutexGuard<'_, VectorState<T>> {
-        self.inner.state.lock()
-    }
-
-    pub(crate) fn lock_completed(
-        &self,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, VectorState<T>>> {
-        self.lock_completed_as("read")
-    }
-
-    /// [`Self::lock_completed`] with an explicit force cause for the
-    /// `DagForce` decision event.
-    pub(crate) fn lock_completed_as(
-        &self,
-        cause: &'static str,
-    ) -> GrbResult<graphblas_exec::sync::MutexGuard<'_, VectorState<T>>> {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        st.drain_as(&ctx, cause)?;
-        Ok(st)
-    }
 
     /// Completes and snapshots as a canonical sparse vector.
     pub(crate) fn snapshot_sparse(&self) -> GrbResult<Arc<SparseVec<T>>> {
@@ -715,14 +493,9 @@ impl<T: ValueType> Vector<T> {
     /// Any non-map stage forces a full drain (fallback: empty pre run).
     pub(crate) fn snapshot_frontier_fused(&self) -> GrbResult<(Frontier<T>, Vec<MapFn<T>>)> {
         let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        if crate::dag::dag_enabled()
-            && !st.pending.is_empty()
-            && st.pending.iter().all(|s| s.is_map())
-        {
+        let mut st = self.lock_raw();
+        st.fail_if_poisoned()?;
+        if !st.pending.is_empty() && st.pending.iter().all(|s| s.is_map()) {
             let pre: Vec<MapFn<T>> = st
                 .pending
                 .iter()
@@ -744,163 +517,6 @@ impl<T: ValueType> Vector<T> {
         st.ensure_sparse()?;
         Ok((Frontier::Sparse(st.sparse().clone()), Vec::new()))
     }
-
-    pub(crate) fn apply_write(
-        &self,
-        stage: Box<dyn FnOnce(&mut VectorState<T>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Opaque(stage));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = stage(&mut st);
-                if let Err(Error::Execution(exec)) = &r {
-                    st.err = Some(exec.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Enqueues a lazy op-DAG node (§III). In nonblocking mode with the
-    /// DAG on, `exec` defers as a [`Stage::Node`] and receives the run of
-    /// trailing map stages at drain time (it must apply them — via its
-    /// fused kernel or [`VectorState::apply_post_maps`]). With the DAG off
-    /// (`GRB_NONBLOCKING=0`) it degrades to exactly the pre-DAG opaque
-    /// stage; in blocking mode it runs eagerly.
-    pub(crate) fn apply_node(
-        &self,
-        kind: NodeKind,
-        exec: Box<dyn FnOnce(&mut VectorState<T>, Vec<MapFn<T>>) -> GrbResult + Send>,
-    ) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking if crate::dag::dag_enabled() => {
-                st.pending.push(Stage::Node { kind, exec });
-                let depth = st.pending.len();
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::dag()
-                        .nodes_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(depth);
-                }
-                drop(st);
-                self.maybe_async_drain(depth);
-                Ok(())
-            }
-            Mode::NonBlocking => {
-                st.pending
-                    .push(Stage::Opaque(Box::new(move |st| exec(st, Vec::new()))));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .opaques_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                let r = exec(&mut st, Vec::new());
-                if let Err(Error::Execution(exec_err)) = &r {
-                    st.err = Some(exec_err.clone());
-                }
-                st.note_mem(ctx.id());
-                r
-            }
-        }
-    }
-
-    /// Hands this container's backlog to the worker pool once its queue
-    /// depth crosses the `GRB_ASYNC_DRAIN_DEPTH` threshold. The threshold
-    /// keeps short op chains intact (so node drains still find trailing
-    /// maps to fuse); the per-container mutex serializes the background
-    /// drain against readers, and a drain of an already-empty queue is a
-    /// no-op — so racing forces cannot double-drain.
-    fn maybe_async_drain(&self, depth: usize) {
-        if !crate::dag::async_drain_enabled() || depth < crate::dag::async_drain_depth() {
-            return;
-        }
-        if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::dag()
-                .async_drains
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
-        let this = self.clone();
-        let ctx = self.context();
-        graphblas_exec::pool::global_pool().spawn_static(Box::new(move || {
-            let mut st = this.inner.state.lock();
-            // A failed drain leaves the §V sticky error in place for the
-            // next reader to surface; the background task has no caller
-            // to report to.
-            let _ = st.drain_as(&ctx, "async");
-        }));
-    }
-
-    pub(crate) fn apply_map(&self, f: MapFn<T>) -> GrbResult {
-        let ctx = self.context();
-        let mut st = self.inner.state.lock();
-        if let Some(e) = &st.err {
-            return Err(Error::Execution(e.clone()));
-        }
-        match ctx.mode() {
-            Mode::NonBlocking => {
-                st.pending.push(Stage::Map(f));
-                if graphblas_obs::enabled() {
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .maps_enqueued
-                        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    graphblas_obs::counters::note_pending_depth(st.pending.len());
-                }
-                Ok(())
-            }
-            Mode::Blocking => {
-                st.drain(&ctx)?;
-                st.ensure_sparse()?;
-                let out = st.sparse().filter_map_with_index(|i, v| f(&[i], v));
-                st.store = VecStore::Sparse(Arc::new(out));
-                st.note_mem(ctx.id());
-                Ok(())
-            }
-        }
-    }
-
-    /// Type-erased object identity (see `Matrix::addr`).
-    pub(crate) fn addr(&self) -> usize {
-        Arc::as_ptr(&self.inner) as *const () as usize
-    }
-
-    pub(crate) fn check_context(&self, ctx: &Context) -> GrbResult {
-        if self.context().same(ctx) {
-            Ok(())
-        } else {
-            Err(ApiError::ContextMismatch.into())
-        }
-    }
 }
 
 impl<T: ValueType> crate::introspect::Check for Vector<T> {
@@ -908,7 +524,7 @@ impl<T: ValueType> crate::introspect::Check for Vector<T> {
     /// invariants, store-vs-logical length agreement, and §V error
     /// bookkeeping — without forcing completion.
     fn grb_check(&self) -> Result<(), crate::introspect::CheckError> {
-        self.inner.state.lock().check()
+        self.lock_raw().check()
     }
 }
 
@@ -948,7 +564,7 @@ impl<T: ValueType + MaskValue> Vector<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphblas_exec::{global_context, ContextOptions};
+    use graphblas_exec::{global_context, ContextOptions, Mode};
 
     #[test]
     fn new_validates_length() {
@@ -1034,6 +650,41 @@ mod tests {
         let empty = Scalar::<i32>::new().unwrap();
         v.set_element_scalar(&empty, 1).unwrap();
         assert_eq!(v.extract_element(1).unwrap(), None);
+    }
+
+    #[test]
+    fn container_mem_follows_immediate_writes() {
+        let _g = crate::obs_flag_lock();
+        let was = graphblas_obs::enabled();
+        graphblas_obs::set_enabled(true);
+        let ctx = Context::new(&global_context(), Mode::Blocking, ContextOptions::default());
+        let mem_live = || {
+            graphblas_obs::ctxreg::context_stats(ctx.id())
+                .unwrap()
+                .own
+                .mem_live
+        };
+        let v = Vector::<i64>::new_in(&ctx, 256).unwrap();
+        for k in 0..256usize {
+            v.set_element(k as i64, k).unwrap();
+        }
+        v.wait(WaitMode::Materialize).unwrap();
+        let live = mem_live();
+        assert!(live > 0, "a populated sparse store must charge the ledger");
+        v.resize(1).unwrap();
+        let shrunk = mem_live();
+        assert!(
+            shrunk < live,
+            "resize must release the dropped store bytes ({live} -> {shrunk})"
+        );
+        v.remove_element(0).unwrap();
+        assert!(
+            mem_live() <= shrunk,
+            "remove_element must not grow the ledger"
+        );
+        drop(v);
+        assert_eq!(mem_live(), 0, "dropping the handle must release its bytes");
+        graphblas_obs::set_enabled(was);
     }
 
     #[test]

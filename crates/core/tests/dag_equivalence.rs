@@ -1,11 +1,14 @@
-//! `GRB_NONBLOCKING=0` equivalence (paper §III): the fused op DAG has
-//! full latitude to defer, reorder, and fuse — but a program must not be
-//! able to tell. These tests run the same operation sequence three ways
-//! (DAG on, DAG off = pre-DAG opaque queue, and a blocking context) and
-//! assert the extracted tuples agree bit-for-bit.
+//! Execution-mode equivalence (paper §III): in a nonblocking context the
+//! fused op DAG has full latitude to defer, reorder, and fuse — but a
+//! program must not be able to tell. The paper defines two execution
+//! modes, and these tests pin both against each other: the same operation
+//! sequence runs in a blocking context (every call executes at once: the
+//! reference) and in a nonblocking one, and the extracted tuples must
+//! agree bit-for-bit. A second test pins that background drains handed to
+//! the worker pool do not change the nonblocking result either.
 //!
-//! Runs as its own integration-test binary because the DAG knobs are
-//! process-global; tests serialize on a local mutex and restore the
+//! Runs as its own integration-test binary because the async-drain knobs
+//! are process-global; tests serialize on a local mutex and restore the
 //! knobs before returning.
 
 use std::sync::Mutex;
@@ -55,11 +58,14 @@ fn build_inputs(ctx: &Context, n: usize) -> (Matrix<f64>, Vector<f64>, Vector<bo
     (a, u, m)
 }
 
+/// Extracted vector tuples and matrix tuples of one pipeline run.
+type Outputs = (Vec<(usize, f64)>, Vec<(usize, usize, f64)>);
+
 /// One mixed pipeline covering every converted operation family: fusible
 /// map chains feeding mxv/vxm (pre-side), in-place applies trailing a
 /// node (post-side), masked vxm, accumulated merges, assign, extract,
 /// reduce, mxm, and transpose.
-fn run_pipeline(mode: Mode) -> (Vec<(usize, f64)>, Vec<(usize, usize, f64)>) {
+fn run_pipeline(mode: Mode) -> Outputs {
     let n = 64;
     let ctx = Context::new(&global_context(), mode, ContextOptions::default());
     let (a, u, m) = build_inputs(&ctx, n);
@@ -130,38 +136,19 @@ fn run_pipeline(mode: Mode) -> (Vec<(usize, f64)>, Vec<(usize, usize, f64)>) {
 }
 
 #[test]
-fn dag_off_reproduces_dag_on_bit_for_bit() {
-    let _g = KNOBS.lock().unwrap();
-    dag::set_async_drain(Some(false));
-
-    dag::set_nonblocking_dag(Some(true));
-    let fused = run_pipeline(Mode::NonBlocking);
-    dag::set_nonblocking_dag(Some(false));
-    let opaque = run_pipeline(Mode::NonBlocking);
-
-    dag::set_nonblocking_dag(None);
-    dag::set_async_drain(None);
-    assert_eq!(fused.0, opaque.0, "vector outputs must match bit-for-bit");
-    assert_eq!(fused.1, opaque.1, "matrix outputs must match bit-for-bit");
-}
-
-#[test]
 fn blocking_mode_matches_fused_nonblocking() {
     let _g = KNOBS.lock().unwrap();
     dag::set_async_drain(Some(false));
-    dag::set_nonblocking_dag(Some(true));
     let fused = run_pipeline(Mode::NonBlocking);
     let blocking = run_pipeline(Mode::Blocking);
-    dag::set_nonblocking_dag(None);
     dag::set_async_drain(None);
-    assert_eq!(fused.0, blocking.0);
-    assert_eq!(fused.1, blocking.1);
+    assert_eq!(fused.0, blocking.0, "vector outputs must match bit-for-bit");
+    assert_eq!(fused.1, blocking.1, "matrix outputs must match bit-for-bit");
 }
 
 #[test]
 fn async_drains_do_not_change_results() {
     let _g = KNOBS.lock().unwrap();
-    dag::set_nonblocking_dag(Some(true));
     dag::set_async_drain(Some(false));
     let quiet = run_pipeline(Mode::NonBlocking);
     // Force eager background drains: every enqueue past depth 1 offers
@@ -171,7 +158,6 @@ fn async_drains_do_not_change_results() {
     let racy = run_pipeline(Mode::NonBlocking);
     dag::set_async_drain_depth(None);
     dag::set_async_drain(None);
-    dag::set_nonblocking_dag(None);
     assert_eq!(quiet.0, racy.0);
     assert_eq!(quiet.1, racy.1);
 }

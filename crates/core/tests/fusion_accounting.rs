@@ -98,7 +98,6 @@ fn dag_nodes_fuse_neighbouring_maps() {
     // its input snapshot (pre side); an in-place apply trailing the node
     // is consumed at drain (post side). The DagCounters must see both.
     graphblas_obs::set_enabled(true);
-    graphblas_core::dag::set_nonblocking_dag(Some(true));
     graphblas_core::dag::set_async_drain(Some(false));
 
     let ctx = Context::new(
@@ -143,6 +142,5 @@ fn dag_nodes_fuse_neighbouring_maps() {
     assert!(dag.fused_chains >= 1, "a fused chain is scored once");
 
     graphblas_core::dag::set_async_drain(None);
-    graphblas_core::dag::set_nonblocking_dag(None);
     graphblas_obs::set_enabled(false);
 }

@@ -497,6 +497,9 @@ mod tests {
                 s.spawn(|| std::thread::sleep(std::time::Duration::from_micros(200)));
             }
         });
+        // A worker records a task after running it, so the scope can end
+        // before the last record lands: joining the workers settles them.
+        drop(pool);
         let snap = graphblas_obs::snapshot();
         let after = snap.pool;
         graphblas_obs::set_enabled(false);

@@ -139,14 +139,16 @@ impl<T: Reusable> Drop for Checkout<T> {
     fn drop(&mut self) {
         if let Some(ws) = self.inner.take() {
             if reuse_enabled() {
-                let recorded = if graphblas_obs::enabled() {
-                    let b = ws.reusable_bytes();
-                    graphblas_obs::mem::workspace().add(b);
-                    b
-                } else {
-                    0
-                };
-                CACHE.with(|c| {
+                // During thread-local teardown the cache may be gone; the
+                // workspace is then simply freed.
+                let _ = CACHE.try_with(|c| {
+                    let recorded = if graphblas_obs::enabled() {
+                        let b = ws.reusable_bytes();
+                        graphblas_obs::mem::workspace().add(b);
+                        b
+                    } else {
+                        0
+                    };
                     let replaced = c
                         .borrow_mut()
                         .map

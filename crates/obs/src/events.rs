@@ -357,7 +357,10 @@ pub fn record(
         t_us: span::epoch().elapsed().as_micros() as u64,
         args,
     };
-    MY_RING.with(|ring| {
+    // `try_with`: during thread-local teardown (a workspace cache's
+    // destructor trimming after this ring is gone) the record is dropped
+    // instead of panicking inside a destructor, which would abort.
+    let _ = MY_RING.try_with(|ring| {
         ring.lock().unwrap_or_else(|e| e.into_inner()).push(ev);
     });
 }

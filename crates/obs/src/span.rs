@@ -41,8 +41,10 @@ thread_local! {
     };
 }
 
+/// The calling thread's tag; 0 (never assigned) once thread-local
+/// teardown has begun.
 pub(crate) fn thread_tag() -> u32 {
-    THREAD_TAG.with(|t| *t)
+    THREAD_TAG.try_with(|t| *t).unwrap_or(0)
 }
 
 /// Resolves a thread tag recorded in an [`Event`] back to its name.

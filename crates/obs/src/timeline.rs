@@ -139,14 +139,16 @@ thread_local! {
 /// appear in trace metadata even before their first recorded region.
 /// Called by `exec::pool` workers at startup; idempotent and cheap.
 pub fn register_thread() {
-    MY_RING.with(|_| {});
+    let _ = MY_RING.try_with(|_| {});
 }
 
 /// Appends one completed region to the calling thread's timeline. Callers
 /// must guard on [`on`].
 pub fn record(name: &'static str, start_ns: u64, end_ns: u64) {
     let thread = span::thread_tag();
-    MY_RING.with(|ring| {
+    // A region that closes during thread-local teardown, after this ring
+    // is gone, is dropped rather than panicking inside a destructor.
+    let _ = MY_RING.try_with(|ring| {
         let mut r = ring.lock().unwrap_or_else(|e| e.into_inner());
         r.push(TlEvent {
             name,

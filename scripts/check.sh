@@ -21,9 +21,12 @@ done
 cargo build --release
 cargo test -q
 # Crate suites the root `cargo test` does not reach: the sparse-kernel
-# property tests and the static-vs-dyn registry equivalence tests.
+# property tests, the static-vs-dyn registry equivalence tests, the core
+# unit tests (pending engine, containers, operations) and the
+# blocking-vs-nonblocking execution-mode equivalence tests.
 cargo test -q -p graphblas-sparse --test kernel_props
 cargo test -q -p graphblas-core --test registry_equiv
+cargo test -q -p graphblas-core --lib --test dag_equivalence
 cargo clippy --all-targets -- -D warnings
 
 # Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside

@@ -151,3 +151,22 @@ fn contexts_report_identity_and_mode() {
     assert!(a.same(&b));
     assert_ne!(a.id(), root.id());
 }
+
+#[test]
+fn switch_to_blocking_keeps_a_scalars_sequence_order() {
+    // §III: a sequence runs in call order whatever the mode. A blocking
+    // call on a scalar that still holds deferred work from a nonblocking
+    // context must complete that work first, or the earlier write lands
+    // last.
+    let root = global_context();
+    let nb = ctx(&root, Mode::NonBlocking, None);
+    let bl = ctx(&root, Mode::Blocking, None);
+    let m = Matrix::<i64>::new_in(&nb, 2, 2).unwrap();
+    m.build(&[0, 0], &[0, 1], &[1, 2], None).unwrap();
+    let s = graphblas::Scalar::<i64>::new_in(&nb).unwrap();
+    m.extract_element_scalar(&s, 0, 0).unwrap();
+    m.switch_context(&bl).unwrap();
+    s.switch_context(&bl).unwrap();
+    m.extract_element_scalar(&s, 0, 1).unwrap();
+    assert_eq!(s.extract_element().unwrap(), Some(2));
+}
