@@ -53,7 +53,6 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     // Instrumented verification pass: prove the nonblocking chains fused.
-    let relaxed = std::sync::atomic::Ordering::Relaxed;
     for k in [1usize, 2, 4, 8] {
         let ctx = Context::new(
             &global_context(),
@@ -79,8 +78,8 @@ fn bench(c: &mut Criterion) {
         v.wait(WaitMode::Complete).unwrap();
         let pending = graphblas_obs::counters::pending();
         let (hits, traversals) = (
-            pending.fusion_hits.load(relaxed),
-            pending.map_traversals.load(relaxed),
+            pending.fusion_hits.get(),
+            pending.map_traversals.get(),
         );
         graphblas_obs::set_enabled(false);
         assert_eq!(

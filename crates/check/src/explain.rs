@@ -411,6 +411,15 @@ pub fn render(doc: &ExplainDoc, last_n: usize) -> String {
 mod tests {
     use super::*;
 
+    /// The literal list stays an independent reader, but it must agree
+    /// with the writer: a rename on the obs side fails here instead of
+    /// silently turning a code into an "unknown reason" at read time.
+    #[test]
+    fn reason_codes_match_the_writer() {
+        let writer = graphblas_obs::Reason::all().map(graphblas_obs::Reason::code);
+        assert_eq!(REASON_CODES, writer);
+    }
+
     fn sample() -> String {
         let mut reasons: Vec<String> = REASON_CODES
             .iter()

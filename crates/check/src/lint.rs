@@ -1,6 +1,6 @@
 //! The repo-specific lint pass behind the `grblint` binary.
 //!
-//! Ten rules, each encoding a convention this workspace actually relies
+//! Eight rules, each encoding a convention this workspace actually relies
 //! on (a general-purpose linter cannot know them):
 //!
 //! * `relaxed-ordering` — `Ordering::Relaxed` is forbidden outside
@@ -23,12 +23,6 @@
 //!   in the kernel files (`spgemm`, `spmv`, `ewise`, `transpose`,
 //!   `convert`, `kron`); in `crates/core` it covers `pub fn`s taking
 //!   `&Descriptor` under `operations/`.
-//! * `decision-without-event` — a runtime choice point that bumps a
-//!   decision counter (`record_direction_pick`, `record_workspace_checkout`,
-//!   `record_dispatch_pick`, `record_format_pick`) must also emit a
-//!   reason-coded provenance event (`events::decision_*`) in the same
-//!   function body, so `GrB_explain` never silently loses a decision the
-//!   aggregate counters admit to.
 //! * `dyn-semiring-in-hot-kernel` — the hot sparse kernel files must stay
 //!   generic over their operator closures (`FM: Fn(...)` type parameters
 //!   the registry monomorphizes), never accept a type-erased `dyn Fn`:
@@ -36,17 +30,11 @@
 //!   overhead the kernel registry exists to remove. Callbacks that run
 //!   outside the flop loop (a dedup hook at conversion time) carry a
 //!   waiver.
-//! * `counter-without-metric` — every `pub <field>: AtomicU64` counter in
-//!   the obs counter blocks (`crates/obs/src/counters.rs`) must have a
-//!   metric in the export registry whose last dotted segment is the field
-//!   name, so a counter cannot be added without also being scrapeable.
-//!   The registry names are read from `crates/obs/src/export/registry.rs`
-//!   by `lint_workspace`; linting a single file via [`lint_source`] skips
-//!   this rule (no registry in scope).
 //! * `drain-without-barrier-span` — a `crates/core` function that takes a
 //!   container's pending op-DAG queue (the drain/force point of the §III
 //!   nonblocking engine) must open an obs span or timeline phase *and*
-//!   emit the `dag-force` decision event in the same body. A drain that
+//!   take the `dag-force` decision (`obs::decide` with
+//!   `Decision::DagForce`) in the same body. A drain that
 //!   runs dark is invisible to `grbtop`/Chrome traces, and a force whose
 //!   cause is never recorded breaks the `GrB_explain` provenance chain
 //!   the ablation tooling asserts on.
@@ -89,12 +77,8 @@ pub enum Rule {
     UndocumentedUnsafe,
     /// Public kernel entry point with no obs span/phase in its body.
     SpanAtKernelBoundary,
-    /// Decision-counter site with no reason-coded event in the same body.
-    DecisionWithoutEvent,
     /// Type-erased `dyn Fn` operator in a hot sparse kernel file.
     DynSemiringInHotKernel,
-    /// An obs counter field with no matching export-registry metric.
-    CounterWithoutMetric,
     /// An op-DAG drain/force body with no obs span or dag-force event.
     DrainWithoutBarrierSpan,
     /// A `grblint: allow(...)` that suppresses nothing (or names no rule).
@@ -110,25 +94,21 @@ impl Rule {
             Rule::GrbErrorType => "grb-error-type",
             Rule::UndocumentedUnsafe => "undocumented-unsafe",
             Rule::SpanAtKernelBoundary => "span-at-kernel-boundary",
-            Rule::DecisionWithoutEvent => "decision-without-event",
             Rule::DynSemiringInHotKernel => "dyn-semiring-in-hot-kernel",
-            Rule::CounterWithoutMetric => "counter-without-metric",
             Rule::DrainWithoutBarrierSpan => "drain-without-barrier-span",
             Rule::StaleWaiver => "stale-waiver",
         }
     }
 
     /// All rules, for `--list-rules`.
-    pub fn all() -> [Rule; 10] {
+    pub fn all() -> [Rule; 8] {
         [
             Rule::RelaxedOrdering,
             Rule::NoUnwrap,
             Rule::GrbErrorType,
             Rule::UndocumentedUnsafe,
             Rule::SpanAtKernelBoundary,
-            Rule::DecisionWithoutEvent,
             Rule::DynSemiringInHotKernel,
-            Rule::CounterWithoutMetric,
             Rule::DrainWithoutBarrierSpan,
             Rule::StaleWaiver,
         ]
@@ -142,13 +122,7 @@ impl Rule {
             Rule::GrbErrorType => krate == "core",
             Rule::UndocumentedUnsafe => true,
             Rule::SpanAtKernelBoundary => krate == "core" || krate == "sparse",
-            // obs defines the counters and events themselves; everywhere
-            // else a counter bump without an event loses provenance.
-            Rule::DecisionWithoutEvent => krate != "obs",
             Rule::DynSemiringInHotKernel => krate == "sparse",
-            // The counter blocks live in obs; the registry that must
-            // cover them does too.
-            Rule::CounterWithoutMetric => krate == "obs",
             Rule::DrainWithoutBarrierSpan => krate == "core",
             Rule::StaleWaiver => true,
         }
@@ -406,115 +380,11 @@ fn lint_span_boundaries(
     }
 }
 
-/// Counter bumps that mark a runtime choice point; each obliges the
-/// enclosing function to emit a reason-coded `events::decision_*` event
-/// (`decision-without-event`). Assembled from pieces so grblint does not
-/// flag its own pattern table.
-fn decision_tokens() -> [String; 4] {
-    [
-        concat!("record_direction_", "pick(").to_string(),
-        concat!("record_workspace_", "checkout(").to_string(),
-        concat!("record_dispatch_", "pick(").to_string(),
-        concat!("record_format_", "pick(").to_string(),
-    ]
-}
-
 /// The forbidden type-erased operator pattern for
 /// `dyn-semiring-in-hot-kernel`, assembled so grblint does not flag its
 /// own pattern table.
 fn dyn_fn_pattern() -> &'static str {
     concat!("dyn ", "Fn")
-}
-
-/// Token whose presence in a function body satisfies
-/// `decision-without-event`.
-fn decision_event_token() -> &'static str {
-    concat!("events::", "decision")
-}
-
-/// The `decision-without-event` pass: function-body scoped, like
-/// `lint_span_boundaries`. Any function (public or private) that bumps a
-/// decision counter must also emit a provenance event somewhere in the
-/// same body.
-fn lint_decision_events(
-    file: &str,
-    lines: &[&str],
-    test_start: usize,
-    used: &mut HashSet<(usize, Rule)>,
-    out: &mut Vec<Violation>,
-) {
-    let tokens = decision_tokens();
-    let mut i = 0;
-    while i < test_start {
-        let (code, _) = split_comment(lines[i]);
-        let t = code.trim_start();
-        let is_fn =
-            t.starts_with("pub fn ") || t.starts_with("pub(crate) fn ") || t.starts_with("fn ");
-        if !is_fn {
-            i += 1;
-            continue;
-        }
-        // Find where the body opens (or skip a bodyless declaration).
-        let mut j = i;
-        let mut open = None;
-        while j < test_start {
-            let (c, _) = split_comment(lines[j]);
-            if c.contains('{') {
-                open = Some(j);
-                break;
-            }
-            if c.trim_end().ends_with(';') {
-                break;
-            }
-            j += 1;
-        }
-        let Some(open) = open else {
-            i = j + 1;
-            continue;
-        };
-        // Walk the body by brace depth, collecting decision-counter sites
-        // and looking for a provenance event.
-        let mut depth = 0i64;
-        let mut has_event = false;
-        let mut sites: Vec<usize> = Vec::new();
-        let mut k = open;
-        while k < lines.len() {
-            let (c, _) = split_comment(lines[k]);
-            let c = strip_strings(c);
-            let body_part = if k == open {
-                c.split_once('{').map(|x| x.1).unwrap_or("")
-            } else {
-                c.as_str()
-            };
-            if body_part.contains(decision_event_token()) {
-                has_event = true;
-            }
-            if tokens.iter().any(|tok| body_part.contains(tok.as_str())) {
-                sites.push(k);
-            }
-            depth += c.matches('{').count() as i64 - c.matches('}').count() as i64;
-            if depth <= 0 {
-                break;
-            }
-            k += 1;
-        }
-        if !has_event {
-            for site in sites {
-                match site_waiver(lines, site, Rule::DecisionWithoutEvent) {
-                    Some(w) => {
-                        used.insert((w, Rule::DecisionWithoutEvent));
-                    }
-                    None => out.push(Violation {
-                        file: file.to_string(),
-                        line: site + 1,
-                        rule: Rule::DecisionWithoutEvent,
-                        snippet: lines[site].trim().chars().take(120).collect(),
-                    }),
-                }
-            }
-        }
-        i = k.max(open) + 1;
-    }
 }
 
 /// The queue-take expression that marks a function as an op-DAG drain
@@ -526,9 +396,9 @@ fn drain_take_token() -> &'static str {
 
 /// Token whose presence satisfies the event half of
 /// `drain-without-barrier-span`: the drain recorded why the DAG was
-/// forced.
+/// forced (an `obs::decide` call with a `DagForce` decision).
 fn dag_force_token() -> &'static str {
-    concat!("events::decision_dag_", "force")
+    concat!("Decision::Dag", "Force")
 }
 
 /// The `drain-without-barrier-span` pass: function-body scoped, like
@@ -617,110 +487,10 @@ fn lint_drain_barriers(
     }
 }
 
-/// Workspace-relative path of the obs counter blocks, the one file the
-/// `counter-without-metric` pass scans.
-const OBS_COUNTERS_FILE: &str = "crates/obs/src/counters.rs";
-
-/// Workspace-relative path of the obs export registry, the source of
-/// truth for `counter-without-metric`.
-const OBS_REGISTRY_FILE: &str = "crates/obs/src/export/registry.rs";
-
-/// Extracts the dotted metric names declared in the obs export registry:
-/// every non-test string literal starting with `grb.` and containing no
-/// spaces (help texts have spaces; names never do).
-pub fn registry_metric_names(source: &str) -> Vec<String> {
-    let lines: Vec<&str> = source.lines().collect();
-    let test_start = lines
-        .iter()
-        .position(|l| l.trim() == "#[cfg(test)]")
-        .unwrap_or(lines.len());
-    let mut out = Vec::new();
-    for raw in lines.iter().take(test_start) {
-        let (code, _) = split_comment(raw);
-        let mut rest = code;
-        while let Some(start) = rest.find('"') {
-            let tail = &rest[start + 1..];
-            let Some(end) = tail.find('"') else { break };
-            let lit = &tail[..end];
-            if lit.len() > "grb.".len() && lit.starts_with("grb.") && !lit.contains(' ') {
-                out.push(lit.to_string());
-            }
-            rest = &tail[end + 1..];
-        }
-    }
-    out
-}
-
-/// The `counter-without-metric` pass: every `pub <field>: AtomicU64` in
-/// the obs counter blocks must have a registry metric whose last dotted
-/// segment equals the field name, so a counter cannot be added without a
-/// scrapeable metric. Runs only from [`lint_workspace`], which supplies
-/// the registry names.
-fn lint_counter_metrics(
-    file: &str,
-    lines: &[&str],
-    test_start: usize,
-    metrics: &[String],
-    used: &mut HashSet<(usize, Rule)>,
-    out: &mut Vec<Violation>,
-) {
-    let covered: HashSet<&str> = metrics
-        .iter()
-        .filter_map(|m| m.rsplit('.').next())
-        .collect();
-    for idx in 0..test_start {
-        let (code, _) = split_comment(lines[idx]);
-        let t = code.trim();
-        let Some(rest) = t.strip_prefix("pub ") else {
-            continue;
-        };
-        let Some((field, ty)) = rest.split_once(':') else {
-            continue;
-        };
-        let field = field.trim();
-        if ty.trim().trim_end_matches(',') != "AtomicU64"
-            || field.is_empty()
-            || !field
-                .chars()
-                .all(|c| c.is_ascii_alphanumeric() || c == '_')
-        {
-            continue;
-        }
-        if covered.contains(field) {
-            continue;
-        }
-        match site_waiver(lines, idx, Rule::CounterWithoutMetric) {
-            Some(w) => {
-                used.insert((w, Rule::CounterWithoutMetric));
-            }
-            None => out.push(Violation {
-                file: file.to_string(),
-                line: idx + 1,
-                rule: Rule::CounterWithoutMetric,
-                snippet: format!(
-                    "counter field `{field}` has no registry metric ending in `.{field}`"
-                ),
-            }),
-        }
-    }
-}
-
 /// Lints one file's source text. `krate` is the crate directory name
 /// (`"core"`, `"sparse"`, …; `""` for the workspace root crate), `file` is
-/// the path used in reports. Skips `counter-without-metric`, which needs
-/// the registry names only [`lint_workspace`] has.
+/// the path used in reports.
 pub fn lint_source(krate: &str, file: &str, source: &str) -> Vec<Violation> {
-    lint_source_with_metrics(krate, file, source, None)
-}
-
-/// [`lint_source`] plus the `counter-without-metric` pass when `metrics`
-/// carries the registry's dotted names (`None` skips the rule).
-pub fn lint_source_with_metrics(
-    krate: &str,
-    file: &str,
-    source: &str,
-    metrics: Option<&[String]>,
-) -> Vec<Violation> {
     let lines: Vec<&str> = source.lines().collect();
     let mut out = Vec::new();
     // Everything from a top-level `#[cfg(test)]` to EOF is test code in
@@ -876,18 +646,8 @@ pub fn lint_source_with_metrics(
     if Rule::SpanAtKernelBoundary.applies_to(krate) {
         lint_span_boundaries(krate, file, &lines, test_start, &mut used, &mut out);
     }
-    if Rule::DecisionWithoutEvent.applies_to(krate) {
-        lint_decision_events(file, &lines, test_start, &mut used, &mut out);
-    }
     if Rule::DrainWithoutBarrierSpan.applies_to(krate) {
         lint_drain_barriers(file, &lines, test_start, &mut used, &mut out);
-    }
-    if let Some(metrics) = metrics {
-        if Rule::CounterWithoutMetric.applies_to(krate)
-            && file.replace('\\', "/") == OBS_COUNTERS_FILE
-        {
-            lint_counter_metrics(file, &lines, test_start, metrics, &mut used, &mut out);
-        }
     }
 
     // Stale-waiver sweep: every waiver site that suppressed nothing, and
@@ -993,24 +753,12 @@ pub(crate) fn collect_sources(root: &Path, out: &mut Vec<PathBuf>) -> io::Result
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let mut files = Vec::new();
     collect_sources(root, &mut files)?;
-    // Registry names for counter-without-metric. A missing registry file
-    // yields an empty list, so every counter field is flagged — adding
-    // counters without an export registry is exactly the drift the rule
-    // exists to catch.
-    let metrics = registry_metric_names(
-        &fs::read_to_string(root.join(OBS_REGISTRY_FILE)).unwrap_or_default(),
-    );
     let mut out = Vec::new();
     for path in files {
         let rel = path.strip_prefix(root).unwrap_or(&path);
         let krate = crate_of(rel);
         let source = fs::read_to_string(&path)?;
-        out.extend(lint_source_with_metrics(
-            &krate,
-            &rel.to_string_lossy(),
-            &source,
-            Some(&metrics),
-        ));
+        out.extend(lint_source(&krate, &rel.to_string_lossy(), &source));
     }
     Ok(out)
 }
@@ -1169,57 +917,6 @@ pub fn inner<T>(ctx: &Context, a: &Csr<T>) -> Csr<T> {
     }
 
     #[test]
-    fn decision_counter_without_event_is_flagged() {
-        let bad = "\
-fn choose(nnz: usize, len: usize) -> Direction {
-    let d = pick(nnz, len);
-    graphblas_obs::counters::record_direction_pick(d == Direction::Pull);
-    d
-}
-";
-        let v = lint_source("core", "x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::DecisionWithoutEvent);
-        assert_eq!(v[0].line, 3);
-        // Same body with a provenance event: clean.
-        let good = "\
-fn choose(nnz: usize, len: usize) -> Direction {
-    let d = pick(nnz, len);
-    graphblas_obs::counters::record_direction_pick(d == Direction::Pull);
-    graphblas_obs::events::decision_direction(\"mxv\", 0, d == Direction::Pull, 1, 2, 8);
-    d
-}
-";
-        assert_eq!(lint_source("core", "x.rs", good).len(), 0);
-        // obs itself (counter definitions, self-tests) is exempt.
-        assert_eq!(lint_source("obs", "x.rs", bad).len(), 0);
-    }
-
-    #[test]
-    fn decision_rule_covers_workspace_checkout_and_waivers() {
-        let bad = "\
-pub fn checkout<T>(n: usize) -> Checkout<T> {
-    let hit = try_reuse(n);
-    graphblas_obs::counters::record_workspace_checkout(hit, reused);
-    make(n)
-}
-";
-        let v = lint_source("exec", "x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::DecisionWithoutEvent);
-        // A waiver in the comment block above the site covers it.
-        let waived = "\
-pub fn checkout<T>(n: usize) -> Checkout<T> {
-    let hit = try_reuse(n);
-    // grblint: allow(decision-without-event) — event emitted by caller.
-    graphblas_obs::counters::record_workspace_checkout(hit, reused);
-    make(n)
-}
-";
-        assert_eq!(lint_source("exec", "x.rs", waived).len(), 0);
-    }
-
-    #[test]
     fn dyn_semiring_flagged_in_hot_kernel_files_only() {
         let bad = "pub fn spmv<T>(ctx: &Context, mul: &dyn Fn(&T, &T) -> T) -> T {\n    let _ph = phase(\"x\");\n    go(mul)\n}\n";
         let v = lint_source("sparse", "crates/sparse/src/spmv.rs", bad);
@@ -1247,88 +944,6 @@ pub fn checkout<T>(n: usize) -> Checkout<T> {
             lint_source("sparse", "crates/sparse/src/convert.rs", waived).len(),
             0
         );
-    }
-
-    #[test]
-    fn dispatch_and_format_picks_require_events() {
-        let bad = "\
-fn pick(hit: bool) {
-    graphblas_obs::counters::record_dispatch_pick(hit);
-}
-";
-        let v = lint_source("core", "x.rs", bad);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, Rule::DecisionWithoutEvent);
-        let bad_fmt = "\
-fn pick(bitmap: bool) {
-    graphblas_obs::counters::record_format_pick(bitmap);
-}
-";
-        assert_eq!(lint_source("core", "x.rs", bad_fmt).len(), 1);
-        let good = "\
-fn pick(hit: bool) {
-    graphblas_obs::counters::record_dispatch_pick(hit);
-    graphblas_obs::events::decision_dispatch(\"mxv\", 0, hit);
-}
-";
-        assert_eq!(lint_source("core", "x.rs", good).len(), 0);
-    }
-
-    #[test]
-    fn counter_without_metric_flagged_via_registry() {
-        let counters = "\
-pub struct PoolCounters {
-    pub covered: AtomicU64,
-    pub orphan: AtomicU64,
-}
-";
-        let metrics = vec!["grb.pool.covered".to_string()];
-        let v = lint_source_with_metrics(
-            "obs",
-            "crates/obs/src/counters.rs",
-            counters,
-            Some(&metrics),
-        );
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, Rule::CounterWithoutMetric);
-        assert_eq!(v[0].line, 3);
-        assert!(v[0].snippet.contains("orphan"));
-        // Only the counter-blocks file is in scope, and plain lint_source
-        // (no registry in hand) skips the rule entirely.
-        assert!(lint_source_with_metrics("obs", "crates/obs/src/mem.rs", counters, Some(&metrics))
-            .is_empty());
-        assert!(lint_source("obs", "crates/obs/src/counters.rs", counters).is_empty());
-        // A waiver in the comment block above the field covers it.
-        let waived = "\
-pub struct PoolCounters {
-    pub covered: AtomicU64,
-    // grblint: allow(counter-without-metric) — internal bookkeeping.
-    pub orphan: AtomicU64,
-}
-";
-        assert!(lint_source_with_metrics(
-            "obs",
-            "crates/obs/src/counters.rs",
-            waived,
-            Some(&metrics)
-        )
-        .is_empty());
-    }
-
-    #[test]
-    fn registry_names_extracted_from_literals_only() {
-        let src = "\
-const REGISTRY: &[MetricDesc] = &[
-    m(\"grb.kernel.calls\", C, \"Kernel invocations over the lifetime.\"),
-    m(\"grb.pool.workers\", G, \"Worker slots.\"),
-];
-#[cfg(test)]
-mod tests {
-    const NOT_A_METRIC: &str = \"grb.test.only\";
-}
-";
-        let names = registry_metric_names(src);
-        assert_eq!(names, vec!["grb.kernel.calls", "grb.pool.workers"]);
     }
 
     #[test]

@@ -15,7 +15,7 @@ fn rendered_exposition_round_trips() {
     graphblas_obs::counters::record_kernel(Kernel::SpGemm, 2_048, 100, 50, 10, 4_096);
     graphblas_obs::counters::record_kernel(Kernel::SpMv, 1_024, 40, 40, 8, 2_048);
     graphblas_obs::counters::record_pool_enqueue(3);
-    graphblas_obs::counters::record_pool_dequeue();
+    graphblas_obs::counters::pool().jobs_dequeued.add(1);
     graphblas_obs::counters::record_pool_task(0, 500, 1_500);
     // A context whose name exercises label escaping in the writer, plus a
     // same-named sibling that forces the `#id` disambiguation.

@@ -166,14 +166,12 @@ pub struct ExecutionError {
 impl ExecutionError {
     pub fn new(kind: ExecErrorKind, message: impl Into<String>) -> Self {
         if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pending()
-                .errors_raised
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            graphblas_obs::events::decision_error_raised(
-                kind.name(),
-                (-(kind.info() as i32)) as u64,
-            );
+            let code = (-(kind.info() as i32)) as u64;
+            let raised = graphblas_obs::Decision::ErrorRaised {
+                kind: kind.name(),
+                code,
+            };
+            graphblas_obs::decide("error", 0, raised);
         }
         ExecutionError {
             kind,

@@ -17,6 +17,7 @@
 use std::sync::Arc;
 
 use graphblas_exec::Context;
+use graphblas_obs::Decision;
 use graphblas_sparse::{Coo, Csc, Csr, Dense};
 
 use crate::error::{ApiError, Error, GrbResult};
@@ -142,12 +143,11 @@ impl<T: ValueType> MatrixState<T> {
             // Emit only when work happened: a store already in (sorted)
             // CSR form is a no-op, not a conversion decision.
             if let Some(src) = src_format.or(needs_sort.then_some("unsorted")) {
-                graphblas_obs::events::decision_convert_csr(
-                    "matrix",
-                    ctx.id(),
+                let conv = Decision::ConvertCsr {
                     src,
-                    csr.nnz() as u64,
-                );
+                    nnz: csr.nnz() as u64,
+                };
+                graphblas_obs::decide("matrix", ctx.id(), conv);
             }
         }
         self.store = MatStore::Csr(csr);
@@ -172,13 +172,13 @@ impl<T: ValueType> MatrixState<T> {
         if let Some((key, t)) = &self.transpose_cache {
             if Arc::ptr_eq(key, &src) {
                 if graphblas_obs::enabled() {
-                    graphblas_obs::counters::record_transpose_cache(true);
-                    graphblas_obs::events::decision_transpose(
-                        ctx.id(),
-                        true,
-                        "memoized",
-                        src.nnz() as u64,
-                    );
+                    let nnz = src.nnz() as u64;
+                    let hit = Decision::Transpose {
+                        hit: true,
+                        detail: "memoized",
+                        nnz,
+                    };
+                    graphblas_obs::decide("transpose-cache", ctx.id(), hit);
                 }
                 return t.clone();
             }
@@ -186,7 +186,6 @@ impl<T: ValueType> MatrixState<T> {
         let _ph = graphblas_obs::timeline::phase("mxv.transpose_build");
         let t = Arc::new(graphblas_sparse::transpose::transpose(ctx, &src));
         if graphblas_obs::enabled() {
-            graphblas_obs::counters::record_transpose_cache(false);
             // A rebuild over a present-but-stale memo is the cache
             // invalidation path (the store Arc changed underneath it).
             let detail = if self.transpose_cache.is_some() {
@@ -194,7 +193,13 @@ impl<T: ValueType> MatrixState<T> {
             } else {
                 "cold"
             };
-            graphblas_obs::events::decision_transpose(ctx.id(), false, detail, src.nnz() as u64);
+            let nnz = src.nnz() as u64;
+            let build = Decision::Transpose {
+                hit: false,
+                detail,
+                nnz,
+            };
+            graphblas_obs::decide("transpose-cache", ctx.id(), build);
         }
         self.transpose_cache = Some((src, t.clone()));
         t

@@ -78,17 +78,13 @@ pub(crate) fn note_dag_fusion(
     nnz_in: usize,
 ) {
     if graphblas_obs::enabled() {
-        graphblas_obs::counters::record_dag_fusion(pre as u64, post as u64);
-        if graphblas_obs::events::on() && pre + post > 0 {
-            graphblas_obs::events::decision_dag_fuse(
-                op,
-                ctx_id,
-                kind.name(),
-                pre as u64,
-                post as u64,
-                nnz_in as u64,
-            );
-        }
+        let fuse = graphblas_obs::Decision::DagFuse {
+            kind: kind.name(),
+            pre_maps: pre as u64,
+            post_maps: post as u64,
+            nnz_in: nnz_in as u64,
+        };
+        graphblas_obs::decide(op, ctx_id, fuse);
     }
 }
 

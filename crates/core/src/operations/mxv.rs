@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use graphblas_exec::workspace::{self, BitSet};
+use graphblas_obs::Decision;
 use graphblas_sparse::spmv as kernels;
 use graphblas_sparse::{BitmapVec, SparseVec};
 
@@ -87,15 +88,13 @@ fn choose_direction(
         }
     };
     if graphblas_obs::enabled() {
-        graphblas_obs::counters::record_direction_pick(d == Direction::Pull);
-        graphblas_obs::events::decision_direction(
-            op,
-            ctx_id,
-            d == Direction::Pull,
-            frontier_nnz as u64,
-            frontier_len as u64,
-            PULL_THRESHOLD_DEN,
-        );
+        let pick = Decision::Direction {
+            pull: d == Direction::Pull,
+            frontier_nnz: frontier_nnz as u64,
+            frontier_len: frontier_len as u64,
+            threshold_den: PULL_THRESHOLD_DEN,
+        };
+        graphblas_obs::decide(op, ctx_id, pick);
     }
     d
 }
@@ -113,8 +112,12 @@ fn store_result<C: ValueType>(op: &'static str, ctx_id: u64, t: SparseVec<C>) ->
     let (nnz, len) = (t.nnz(), t.len());
     let bitmap = nnz as u64 * BITMAP_THRESHOLD_DEN >= len as u64 && nnz < len;
     if graphblas_obs::enabled() {
-        graphblas_obs::counters::record_format_pick(bitmap);
-        graphblas_obs::events::decision_format(op, ctx_id, bitmap, nnz as u64, len as u64);
+        let pick = Decision::Format {
+            bitmap,
+            nnz: nnz as u64,
+            len: len as u64,
+        };
+        graphblas_obs::decide(op, ctx_id, pick);
     }
     if bitmap {
         VecStore::Bitmap(Arc::new(BitmapVec::from_svec(&t)))
@@ -135,15 +138,11 @@ fn frontier_for<X: ValueType>(
     match (dir, f) {
         (Direction::Push, Frontier::Bitmap(b)) => {
             if graphblas_obs::enabled() {
-                graphblas_obs::counters::record_format_conversion();
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_convert_sparse(
-                    op,
-                    ctx_id,
-                    "bitmap",
-                    b.nnz() as u64,
-                );
+                let conv = Decision::ConvertSparse {
+                    src: "bitmap",
+                    nnz: b.nnz() as u64,
+                };
+                graphblas_obs::decide(op, ctx_id, conv);
             }
             Frontier::Sparse(Arc::new(b.to_svec()))
         }

@@ -103,8 +103,7 @@ pub fn enabled() -> bool {
 /// them down the dyn path, so hits/fallbacks partition actual dispatches.
 pub fn record_pick(op: &'static str, ctx_id: u64, is_static: bool) {
     if graphblas_obs::enabled() {
-        graphblas_obs::counters::record_dispatch_pick(is_static);
-        graphblas_obs::events::decision_dispatch(op, ctx_id, is_static);
+        graphblas_obs::decide(op, ctx_id, graphblas_obs::Decision::Dispatch { is_static });
     }
 }
 

@@ -51,11 +51,11 @@
 //! and guarantees no further errors can be reported from the drained
 //! sequence (§V).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use graphblas_exec::sync::{Mutex, MutexGuard, RwLock};
 use graphblas_exec::{Context, Mode};
+use graphblas_obs::Decision;
 
 use crate::error::{ApiError, Error, ExecutionError, GrbResult};
 use crate::introspect::CheckError;
@@ -293,27 +293,13 @@ impl<S: Store> State<S> {
         let obs_on = graphblas_obs::enabled();
         let _sp = obs_on.then(|| graphblas_obs::span_ctx("drain", ctx.id()));
         if obs_on {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pending()
-                .drains
-                .fetch_add(1, Ordering::Relaxed);
+            graphblas_obs::counters::pending().drains.add(1);
         }
         let pending = std::mem::take(&mut self.pending);
-        if pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
-            if obs_on {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::dag()
-                    .forces
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_dag_force(
-                    S::DRAIN_OP,
-                    ctx.id(),
-                    cause,
-                    pending.len() as u64,
-                );
-            }
+        if obs_on && pending.iter().any(|s| matches!(s, Stage::Node { .. })) {
+            let depth = pending.len() as u64;
+            let force = Decision::DagForce { cause, depth };
+            graphblas_obs::decide(S::DRAIN_OP, ctx.id(), force);
         }
         let mut stages = pending.into_iter().peekable();
         let mut run: Vec<MapFn<S::Elem>> = Vec::new();
@@ -324,11 +310,7 @@ impl<S: Store> State<S> {
                     Stage::Opaque(f) => {
                         self.flush_map_run(ctx, &mut run, "opaque-barrier")?;
                         if obs_on {
-                            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                            graphblas_obs::counters::pending()
-                                .opaque_drains
-                                .fetch_add(1, Ordering::Relaxed);
-                            graphblas_obs::events::decision_opaque_drain(S::DRAIN_OP, ctx.id());
+                            graphblas_obs::decide(S::DRAIN_OP, ctx.id(), Decision::OpaqueDrain);
                         }
                         let _ph = graphblas_obs::timeline::phase("drain.opaque");
                         f(&mut self.data)?;
@@ -359,11 +341,7 @@ impl<S: Store> State<S> {
                 if obs_on {
                     // The error surfaced at drain time, not at the call
                     // that caused it — the §V deferral the paper promises.
-                    // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                    graphblas_obs::counters::pending()
-                        .errors_deferred
-                        .fetch_add(1, Ordering::Relaxed);
-                    graphblas_obs::events::decision_error_deferred(S::DRAIN_OP, ctx.id());
+                    graphblas_obs::decide(S::DRAIN_OP, ctx.id(), Decision::ErrorDeferred);
                 }
             }
             self.pending.clear();
@@ -384,26 +362,15 @@ impl<S: Store> State<S> {
             return Ok(());
         }
         let mut sp = graphblas_obs::kernel_span(graphblas_obs::Kernel::MapFuse, ctx.id());
+        let nnz_in = self.data.map_input(ctx)? as u64;
         if sp.active() {
-            let p = graphblas_obs::counters::pending();
-            // A run of n maps executes as ONE traversal; the other n−1
-            // stages were absorbed into it — each is a fusion hit.
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.map_traversals.fetch_add(1, Ordering::Relaxed);
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            p.fusion_hits
-                .fetch_add(run.len() as u64 - 1, Ordering::Relaxed);
-        }
-        let nnz = self.data.map_input(ctx)?;
-        let nnz_in = if sp.active() { nnz as u64 } else { 0 };
-        if graphblas_obs::events::on() {
-            graphblas_obs::events::decision_fuse_flush(
-                S::DRAIN_OP,
-                ctx.id(),
-                run.len() as u64,
+            let chain_len = run.len() as u64;
+            let flush = Decision::FuseFlush {
+                chain_len,
                 nnz_in,
                 trigger,
-            );
+            };
+            graphblas_obs::decide(S::DRAIN_OP, ctx.id(), flush);
         }
         let nnz_out = self.data.map_pass(ctx, run);
         if sp.active() {
@@ -613,9 +580,10 @@ pub(crate) trait Container {
         let depth = st.pending.len();
         drop(st);
         if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            counter.fetch_add(1, Ordering::Relaxed);
-            graphblas_obs::counters::note_pending_depth(depth);
+            counter.add(1);
+            graphblas_obs::counters::pending()
+                .max_depth
+                .max(depth as u64);
         }
         if is_node {
             maybe_async_drain(handle, &ctx, depth);
@@ -650,10 +618,7 @@ fn maybe_async_drain<S: Store>(handle: &Arc<Handle<S>>, ctx: &Context, depth: us
         return;
     }
     if graphblas_obs::enabled() {
-        // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-        graphblas_obs::counters::dag()
-            .async_drains
-            .fetch_add(1, Ordering::Relaxed);
+        graphblas_obs::counters::dag().async_drains.add(1);
     }
     let this = handle.clone();
     let ctx = ctx.clone();

@@ -5,6 +5,7 @@
 use std::sync::Arc;
 
 use graphblas_exec::Context;
+use graphblas_obs::Decision;
 use graphblas_sparse::{BitmapVec, DenseVec, SparseVec};
 
 use crate::error::{ApiError, Error, GrbResult};
@@ -114,13 +115,12 @@ impl<T: ValueType> VectorState<T> {
                 Arc::new(b.to_svec())
             }
         };
-        if let Some(src) = src_format {
-            if src == "bitmap" && graphblas_obs::enabled() {
-                graphblas_obs::counters::record_format_conversion();
-            }
-            if graphblas_obs::events::on() {
-                graphblas_obs::events::decision_convert_sparse("vector", 0, src, sv.nnz() as u64);
-            }
+        if let Some(src) = src_format.filter(|_| graphblas_obs::enabled()) {
+            let conv = Decision::ConvertSparse {
+                src,
+                nnz: sv.nnz() as u64,
+            };
+            graphblas_obs::decide("vector", 0, conv);
         }
         self.store = VecStore::Sparse(sv);
         self.debug_check();

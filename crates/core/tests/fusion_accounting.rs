@@ -4,8 +4,6 @@
 //! Runs as its own integration-test binary so flipping the global
 //! telemetry flag cannot race other tests.
 
-use std::sync::atomic::Ordering;
-
 use graphblas_core::operations::apply_v;
 use graphblas_core::{
     global_context, no_mask_v, Context, ContextOptions, Descriptor, Mode, UnaryOp, Vector, WaitMode,
@@ -39,9 +37,9 @@ fn fusion_counts_for_chain(n: usize) -> (u64, u64, u64) {
 
     let pending = graphblas_obs::counters::pending();
     (
-        pending.map_traversals.load(Ordering::Relaxed),
-        pending.fusion_hits.load(Ordering::Relaxed),
-        pending.maps_enqueued.load(Ordering::Relaxed),
+        pending.map_traversals.get(),
+        pending.fusion_hits.get(),
+        pending.maps_enqueued.get(),
     )
 }
 
@@ -135,7 +133,7 @@ fn dag_nodes_fuse_neighbouring_maps() {
     apply_v(&w, no_mask_v(), None, &inc, &w, &Descriptor::default()).unwrap();
     w.wait(WaitMode::Complete).unwrap();
 
-    let dag = graphblas_obs::counters::dag_totals();
+    let dag = graphblas_obs::counters::dag().totals();
     assert!(dag.nodes_enqueued >= 1, "mxv must enqueue a DAG node");
     assert_eq!(dag.pre_fused, 2, "both input maps fold into the kernel");
     assert_eq!(dag.post_fused, 1, "the trailing map drains with the node");

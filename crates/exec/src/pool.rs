@@ -27,7 +27,6 @@ use std::any::Any;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -112,12 +111,7 @@ impl JobQueue {
             // the high-water mark in the metrics is trustworthy.
             graphblas_obs::counters::record_pool_enqueue(st.jobs.len());
             if st.parked > 0 {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) —
-                // monotonic obs counter; no reader infers cross-thread state
-                // from it.
-                graphblas_obs::counters::pool()
-                    .wakes
-                    .fetch_add(1, Ordering::Relaxed);
+                graphblas_obs::counters::pool().wakes.add(1);
             }
         }
         drop(st);
@@ -130,7 +124,7 @@ impl JobQueue {
         loop {
             if let Some(job) = st.jobs.pop_front() {
                 if graphblas_obs::enabled() {
-                    graphblas_obs::counters::record_pool_dequeue();
+                    graphblas_obs::counters::pool().jobs_dequeued.add(1);
                 }
                 return Some(job);
             }
@@ -138,10 +132,7 @@ impl JobQueue {
                 return None;
             }
             if graphblas_obs::enabled() {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::pool()
-                    .parks
-                    .fetch_add(1, Ordering::Relaxed);
+                graphblas_obs::counters::pool().parks.add(1);
             }
             st.parked += 1;
             st = self.available.wait(st);
@@ -230,10 +221,7 @@ impl ThreadPool {
         F: FnOnce(&Scope<'env, '_>) -> R,
     {
         if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pool()
-                .scopes
-                .fetch_add(1, Ordering::Relaxed);
+            graphblas_obs::counters::pool().scopes.add(1);
         }
         let state = Arc::new(ScopeState::default());
         let scope = Scope {
@@ -313,19 +301,13 @@ impl<'env, 'pool> Scope<'env, 'pool> {
     {
         if in_worker() {
             if graphblas_obs::enabled() {
-                // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-                graphblas_obs::counters::pool()
-                    .tasks_inline
-                    .fetch_add(1, Ordering::Relaxed);
+                graphblas_obs::counters::pool().tasks_inline.add(1);
             }
             f();
             return;
         }
         if graphblas_obs::enabled() {
-            // grblint: allow(relaxed-ordering); grbsa: protocol(counter) — monotonic obs counter.
-            graphblas_obs::counters::pool()
-                .tasks_spawned
-                .fetch_add(1, Ordering::Relaxed);
+            graphblas_obs::counters::pool().tasks_spawned.add(1);
         }
         self.state.task_started();
         let state = Arc::clone(&self.state);

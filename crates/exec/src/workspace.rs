@@ -95,7 +95,12 @@ impl ThreadCache {
         let recorded: u64 = self.map.values().map(|(_, b)| b).sum();
         graphblas_obs::mem::workspace().sub(recorded);
         if !self.map.is_empty() && graphblas_obs::events::on() {
-            graphblas_obs::events::decision_workspace_trim(self.map.len() as u64, recorded);
+            let entries = self.map.len() as u64;
+            let trim = graphblas_obs::Decision::WorkspaceTrim {
+                entries,
+                bytes: recorded,
+            };
+            graphblas_obs::decide("workspace", 0, trim);
         }
         self.map.clear();
     }
@@ -179,22 +184,25 @@ pub fn checkout<T: Reusable>(n: usize) -> Checkout<T> {
     let hit = cached.is_some();
     let mut ws = cached.unwrap_or_else(T::fresh);
     if graphblas_obs::enabled() {
-        let reused = if hit { ws.reusable_bytes() } else { 0 };
-        graphblas_obs::counters::record_workspace_checkout(hit, reused);
-        if graphblas_obs::events::on() {
-            let generation = CACHE.with(|c| {
+        // The checkout ordinal only feeds the event: skip the TLS bump
+        // when events are off.
+        let generation = if graphblas_obs::events::on() {
+            CACHE.with(|c| {
                 let mut c = c.borrow_mut();
                 c.generation += 1;
                 c.generation
-            });
-            graphblas_obs::events::decision_workspace(
-                std::any::type_name::<T>(),
-                hit,
-                n as u64,
-                reused,
-                generation,
-            );
-        }
+            })
+        } else {
+            0
+        };
+        let checkout = graphblas_obs::Decision::Workspace {
+            ty: std::any::type_name::<T>(),
+            hit,
+            n: n as u64,
+            bytes: if hit { ws.reusable_bytes() } else { 0 },
+            generation,
+        };
+        graphblas_obs::decide("workspace", 0, checkout);
     }
     ws.prepare(n);
     Checkout { inner: Some(ws) }

@@ -37,156 +37,95 @@ use crate::span;
 /// Default per-thread decision-ring capacity (records, not bytes).
 pub const DEFAULT_EVENTS_CAPACITY: usize = 4096;
 
-/// Number of [`Reason`] codes (array sizing).
-pub const REASON_COUNT: usize = 18;
+/// Declares the reason codes once: each row is the variant, its stable
+/// kebab-case code, and the names of its three numeric payload slots
+/// (`""` = slot unused). Generates [`Reason`], [`REASON_COUNT`],
+/// [`Reason::code`], [`Reason::all`] and [`Reason::arg_names`]; the
+/// variant's discriminant is its index in [`Reason::all`] order.
+macro_rules! reason_table {
+    ( $( $(#[$doc:meta])* $Variant:ident = $code:literal $args:expr, )* ) => {
+        /// Why the runtime did what it did: one code per choice point.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Reason {
+            $( $(#[$doc])* $Variant, )*
+        }
 
-/// Why the runtime did what it did: one code per choice point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Reason {
+        /// Number of [`Reason`] codes (array sizing).
+        pub const REASON_COUNT: usize = [$( $code ),*].len();
+
+        impl Reason {
+            /// The stable kebab-case code used in JSON exports,
+            /// `grbexplain` assertions, and DESIGN.md §4a.
+            pub fn code(self) -> &'static str {
+                match self {
+                    $( Reason::$Variant => $code, )*
+                }
+            }
+
+            /// Every reason code, in a stable order (JSON key order).
+            pub fn all() -> [Reason; REASON_COUNT] {
+                [$( Reason::$Variant ),*]
+            }
+
+            /// Names for the three numeric payload slots (`""` = slot
+            /// unused). These become the per-event JSON keys, so the
+            /// export is self-describing.
+            pub fn arg_names(self) -> [&'static str; 3] {
+                match self {
+                    $( Reason::$Variant => $args, )*
+                }
+            }
+        }
+    };
+}
+
+reason_table! {
     /// mxv/vxm dispatched the push (scatter) kernel: frontier density
     /// below the Beamer threshold.
-    DirectionPush,
+    DirectionPush = "direction-push" ["frontier_nnz", "frontier_len", "threshold_den"],
     /// mxv/vxm dispatched the pull (dot-product) kernel: frontier density
     /// at or above the Beamer threshold.
-    DirectionPull,
+    DirectionPull = "direction-pull" ["frontier_nnz", "frontier_len", "threshold_den"],
     /// A workspace checkout was served from the thread's cache.
-    WorkspaceHit,
+    WorkspaceHit = "workspace-hit" ["bytes", "n", "generation"],
     /// A workspace checkout allocated fresh (nothing cached for the type).
-    WorkspaceMiss,
+    WorkspaceMiss = "workspace-miss" ["bytes", "n", "generation"],
     /// A thread's workspace cache was released (drop or explicit clear).
-    WorkspaceTrim,
+    WorkspaceTrim = "workspace-trim" ["bytes", "entries", ""],
     /// A run of pending map stages flushed as one fused traversal.
-    FuseFlush,
+    FuseFlush = "fuse-flush" ["chain_len", "nnz_in", ""],
     /// An opaque pending stage executed (the fusion barrier).
-    OpaqueDrain,
+    OpaqueDrain = "opaque-drain" ["", "", ""],
     /// A container store converted to CSR (source format in `detail`).
-    ConvertCsr,
+    ConvertCsr = "convert-csr" ["nnz", "", ""],
     /// A vector store canonicalized to sorted sparse (source in `detail`).
-    ConvertSparse,
+    ConvertSparse = "convert-sparse" ["nnz", "", ""],
     /// The memoized transpose was (re)computed for the current store.
-    TransposeBuild,
+    TransposeBuild = "transpose-build" ["nnz", "", ""],
     /// The memoized transpose was served from cache (O(1)).
-    TransposeHit,
+    TransposeHit = "transpose-hit" ["nnz", "", ""],
     /// A sparse kernel chose an internal execution path (e.g. the spmv
     /// dense-frontier fast path); which one is in `detail`.
-    KernelPath,
+    KernelPath = "kernel-path" ["nnz", "len", ""],
     /// An execution error was constructed (§V; kind in `detail`).
-    ErrorRaised,
+    ErrorRaised = "error-raised" ["code", "", ""],
     /// A drain failed and poisoned its container (§V deferred error).
-    ErrorDeferred,
+    ErrorDeferred = "error-deferred" ["", "", ""],
     /// An operation resolved its semiring/operator dispatch: `detail` is
     /// "static" (pre-monomorphized registry kernel, paper §II) or "dyn"
     /// (erased-closure fallback).
-    DispatchPick,
+    DispatchPick = "dispatch-pick" ["", "", ""],
     /// The mxv/vxm store path picked a vector storage format for its
     /// result: `detail` is "bitmap" or "sparse" (Table III).
-    FormatPick,
+    FormatPick = "format-pick" ["nnz", "len", ""],
     /// An op-DAG node drained with neighbouring map stages fused into its
     /// kernel (§III cross-operation fusion): `detail` is the node kind,
     /// payload counts the pre-maps (input side) and post-maps (output
     /// side) absorbed.
-    DagFuse,
+    DagFuse = "dag-fuse" ["pre_maps", "post_maps", "nnz_in"],
     /// A lazy op DAG was forced to drain; `detail` says what forced it
     /// ("read", "wait", "async", "self-input").
-    DagForce,
-}
-
-impl Reason {
-    /// The stable kebab-case code used in JSON exports, `grbexplain`
-    /// assertions, and DESIGN.md §4a.
-    pub fn code(self) -> &'static str {
-        match self {
-            Reason::DirectionPush => "direction-push",
-            Reason::DirectionPull => "direction-pull",
-            Reason::WorkspaceHit => "workspace-hit",
-            Reason::WorkspaceMiss => "workspace-miss",
-            Reason::WorkspaceTrim => "workspace-trim",
-            Reason::FuseFlush => "fuse-flush",
-            Reason::OpaqueDrain => "opaque-drain",
-            Reason::ConvertCsr => "convert-csr",
-            Reason::ConvertSparse => "convert-sparse",
-            Reason::TransposeBuild => "transpose-build",
-            Reason::TransposeHit => "transpose-hit",
-            Reason::KernelPath => "kernel-path",
-            Reason::ErrorRaised => "error-raised",
-            Reason::ErrorDeferred => "error-deferred",
-            Reason::DispatchPick => "dispatch-pick",
-            Reason::FormatPick => "format-pick",
-            Reason::DagFuse => "dag-fuse",
-            Reason::DagForce => "dag-force",
-        }
-    }
-
-    /// Every reason code, in a stable order (JSON key order).
-    pub fn all() -> [Reason; REASON_COUNT] {
-        [
-            Reason::DirectionPush,
-            Reason::DirectionPull,
-            Reason::WorkspaceHit,
-            Reason::WorkspaceMiss,
-            Reason::WorkspaceTrim,
-            Reason::FuseFlush,
-            Reason::OpaqueDrain,
-            Reason::ConvertCsr,
-            Reason::ConvertSparse,
-            Reason::TransposeBuild,
-            Reason::TransposeHit,
-            Reason::KernelPath,
-            Reason::ErrorRaised,
-            Reason::ErrorDeferred,
-            Reason::DispatchPick,
-            Reason::FormatPick,
-            Reason::DagFuse,
-            Reason::DagForce,
-        ]
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Reason::DirectionPush => 0,
-            Reason::DirectionPull => 1,
-            Reason::WorkspaceHit => 2,
-            Reason::WorkspaceMiss => 3,
-            Reason::WorkspaceTrim => 4,
-            Reason::FuseFlush => 5,
-            Reason::OpaqueDrain => 6,
-            Reason::ConvertCsr => 7,
-            Reason::ConvertSparse => 8,
-            Reason::TransposeBuild => 9,
-            Reason::TransposeHit => 10,
-            Reason::KernelPath => 11,
-            Reason::ErrorRaised => 12,
-            Reason::ErrorDeferred => 13,
-            Reason::DispatchPick => 14,
-            Reason::FormatPick => 15,
-            Reason::DagFuse => 16,
-            Reason::DagForce => 17,
-        }
-    }
-
-    /// Names for the three numeric payload slots (`""` = slot unused).
-    /// These become the per-event JSON keys, so the export is
-    /// self-describing.
-    pub fn arg_names(self) -> [&'static str; 3] {
-        match self {
-            Reason::DirectionPush | Reason::DirectionPull => {
-                ["frontier_nnz", "frontier_len", "threshold_den"]
-            }
-            Reason::WorkspaceHit | Reason::WorkspaceMiss => ["bytes", "n", "generation"],
-            Reason::WorkspaceTrim => ["bytes", "entries", ""],
-            Reason::FuseFlush => ["chain_len", "nnz_in", ""],
-            Reason::OpaqueDrain => ["", "", ""],
-            Reason::ConvertCsr | Reason::ConvertSparse => ["nnz", "", ""],
-            Reason::TransposeBuild | Reason::TransposeHit => ["nnz", "", ""],
-            Reason::KernelPath => ["nnz", "len", ""],
-            Reason::ErrorRaised => ["code", "", ""],
-            Reason::ErrorDeferred => ["", "", ""],
-            Reason::DispatchPick => ["", "", ""],
-            Reason::FormatPick => ["nnz", "len", ""],
-            Reason::DagFuse => ["pre_maps", "post_maps", "nnz_in"],
-            Reason::DagForce => ["depth", "", ""],
-        }
-    }
+    DagForce = "dag-force" ["depth", "", ""],
 }
 
 /// One runtime decision: what was chosen, where, and the numbers that
@@ -314,8 +253,7 @@ thread_local! {
 static SEQ: AtomicU64 = AtomicU64::new(1);
 
 /// Lifetime per-reason counts (monotonic; survive ring truncation).
-static REASON_COUNTS: [AtomicU64; REASON_COUNT] =
-    [const { AtomicU64::new(0) }; REASON_COUNT];
+static REASON_COUNTS: [AtomicU64; REASON_COUNT] = [const { AtomicU64::new(0) }; REASON_COUNT];
 
 /// Total decision events ever recorded (including overwritten ones).
 pub fn total() -> u64 {
@@ -324,7 +262,7 @@ pub fn total() -> u64 {
 
 /// Lifetime count for one reason code.
 pub fn count(reason: Reason) -> u64 {
-    REASON_COUNTS[reason.index()].load(Ordering::Relaxed)
+    REASON_COUNTS[reason as usize].load(Ordering::Relaxed)
 }
 
 /// Lifetime counts for every reason code, in [`Reason::all`] order.
@@ -332,10 +270,11 @@ pub fn reason_counts() -> Vec<(Reason, u64)> {
     Reason::all().iter().map(|&r| (r, count(r))).collect()
 }
 
-/// Records one decision. Callers should guard on [`on`] to keep the
-/// disabled path at two relaxed loads; `record` re-checks so an unguarded
-/// call is safe, just slower.
-pub fn record(
+/// Records one decision event. Callers should guard on [`on`] to keep
+/// the disabled path at two relaxed loads; `record` re-checks so an
+/// unguarded call is safe, just slower. Runtime choice points go through
+/// [`decide`], which also bumps the decision's counters.
+pub(crate) fn record(
     reason: Reason,
     op: &'static str,
     detail: &'static str,
@@ -346,7 +285,7 @@ pub fn record(
         return;
     }
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    REASON_COUNTS[reason.index()].fetch_add(1, Ordering::Relaxed);
+    REASON_COUNTS[reason as usize].fetch_add(1, Ordering::Relaxed);
     let ev = DecisionEvent {
         seq,
         reason,
@@ -365,155 +304,211 @@ pub fn record(
     });
 }
 
-// --- site helpers ---------------------------------------------------------
-//
-// Each decision site calls one of these (the `decision-without-event`
-// grblint rule looks for `events::decision` next to the counter calls).
+// --- decisions ------------------------------------------------------------
 
-/// Direction pick in mxv/vxm: density `frontier_nnz / frontier_len`
-/// against the Beamer threshold `1 / threshold_den`.
-#[inline]
-pub fn decision_direction(
-    op: &'static str,
-    ctx: u64,
-    pull: bool,
-    frontier_nnz: u64,
-    frontier_len: u64,
-    threshold_den: u64,
-) {
-    let reason = if pull {
-        Reason::DirectionPull
-    } else {
-        Reason::DirectionPush
+/// One runtime decision and the numbers that drove it. [`decide`] turns
+/// it into its counter bumps and its reason-coded event, so a choice
+/// point cannot bump a counter without recording why, or the reverse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// Direction pick in mxv/vxm: density `frontier_nnz / frontier_len`
+    /// against the Beamer threshold `1 / threshold_den`.
+    Direction {
+        pull: bool,
+        frontier_nnz: u64,
+        frontier_len: u64,
+        threshold_den: u64,
+    },
+    /// Workspace checkout of type `ty` for a problem of size `n`: `bytes`
+    /// is the reused buffer capacity (0 on a miss), `generation` the
+    /// thread's checkout ordinal.
+    Workspace {
+        ty: &'static str,
+        hit: bool,
+        n: u64,
+        bytes: u64,
+        generation: u64,
+    },
+    /// A thread's workspace cache released `entries` cached buffers
+    /// holding `bytes` recorded bytes.
+    WorkspaceTrim { entries: u64, bytes: u64 },
+    /// A pending map run of `chain_len` stages flushed as one traversal
+    /// over `nnz_in` entries; `trigger` says what forced it.
+    FuseFlush {
+        chain_len: u64,
+        nnz_in: u64,
+        trigger: &'static str,
+    },
+    /// An opaque pending stage executed (fusion barrier).
+    OpaqueDrain,
+    /// A store converted to CSR from `src` ("csc", "coo", "dense",
+    /// "unsorted"), now holding `nnz` entries.
+    ConvertCsr { src: &'static str, nnz: u64 },
+    /// A vector store canonicalized to sorted sparse from `src`; a
+    /// `"bitmap"` source counts as a forced bitmap→sparse conversion.
+    ConvertSparse { src: &'static str, nnz: u64 },
+    /// Transpose-cache consult: a hit serves the memo, a build computes
+    /// (`detail` distinguishes a cold build from an invalidation).
+    Transpose {
+        hit: bool,
+        detail: &'static str,
+        nnz: u64,
+    },
+    /// A sparse kernel picked internal path `path` for an input of
+    /// `nnz`/`len`.
+    KernelPath {
+        path: &'static str,
+        nnz: u64,
+        len: u64,
+    },
+    /// An execution error was constructed: `kind` is the §V error kind,
+    /// `code` the magnitude of its negative `GrB_Info` value.
+    ErrorRaised { kind: &'static str, code: u64 },
+    /// A drain failed and poisoned its container (§V deferral surfaced).
+    ErrorDeferred,
+    /// Kernel dispatch: `is_static` means a pre-monomorphized registry
+    /// kernel ran (paper §II); otherwise the erased-closure fallback did.
+    Dispatch { is_static: bool },
+    /// The store path picked a vector storage format (`bitmap` = presence
+    /// bits + dense slots) for a result of `nnz`/`len` (Table III).
+    Format { bitmap: bool, nnz: u64, len: u64 },
+    /// An op-DAG node of kind `kind` drained absorbing `pre_maps`
+    /// input-side and `post_maps` output-side map stages over `nnz_in`
+    /// input entries. A drain that fused nothing records no event.
+    DagFuse {
+        kind: &'static str,
+        pre_maps: u64,
+        post_maps: u64,
+        nnz_in: u64,
+    },
+    /// A lazy op DAG was forced to drain `depth` queued stages; `cause`
+    /// says what forced it ("read", "wait", "async", "self-input").
+    DagForce { cause: &'static str, depth: u64 },
+}
+
+/// Takes one decision at site `op` (context `ctx`, 0 when none is in
+/// scope): bumps its counters when telemetry is on, then records its
+/// reason-coded event when events are requested too. Sites guard on
+/// [`crate::enabled`] before building the payload; `decide` re-checks,
+/// so an unguarded call is safe, just slower.
+pub fn decide(op: &'static str, ctx: u64, d: Decision) {
+    use crate::counters::{dag, direction, dispatch, format, pending, workspace};
+    fn pick<T>(yes: bool, a: T, b: T) -> T {
+        if yes {
+            a
+        } else {
+            b
+        }
+    }
+    if !crate::enabled() {
+        return;
+    }
+    let (reason, detail, args) = match d {
+        Decision::Direction {
+            pull,
+            frontier_nnz: nnz,
+            frontier_len: len,
+            threshold_den: den,
+        } => {
+            pick(pull, &direction().pull_picks, &direction().push_picks).add(1);
+            let reason = pick(pull, Reason::DirectionPull, Reason::DirectionPush);
+            (reason, "", [nnz, len, den])
+        }
+        Decision::Workspace {
+            ty,
+            hit,
+            n,
+            bytes,
+            generation,
+        } => {
+            let ws = workspace();
+            ws.checkouts.add(1);
+            if hit {
+                ws.hits.add(1);
+                ws.bytes_reused.add(bytes);
+            } else {
+                ws.misses.add(1);
+            }
+            let reason = pick(hit, Reason::WorkspaceHit, Reason::WorkspaceMiss);
+            (reason, ty, [bytes, n, generation])
+        }
+        Decision::WorkspaceTrim { entries, bytes } => {
+            (Reason::WorkspaceTrim, "", [bytes, entries, 0])
+        }
+        Decision::FuseFlush {
+            chain_len,
+            nnz_in,
+            trigger,
+        } => {
+            // A run of n maps executes as ONE traversal; the other n−1
+            // stages were absorbed into it — each is a fusion hit.
+            pending().map_traversals.add(1);
+            pending().fusion_hits.add(chain_len.saturating_sub(1));
+            (Reason::FuseFlush, trigger, [chain_len, nnz_in, 0])
+        }
+        Decision::OpaqueDrain => {
+            pending().opaque_drains.add(1);
+            (Reason::OpaqueDrain, "", [0; 3])
+        }
+        Decision::ConvertCsr { src, nnz } => (Reason::ConvertCsr, src, [nnz, 0, 0]),
+        Decision::ConvertSparse { src, nnz } => {
+            if src == "bitmap" {
+                format().conversions.add(1);
+            }
+            (Reason::ConvertSparse, src, [nnz, 0, 0])
+        }
+        Decision::Transpose { hit, detail, nnz } => {
+            let dir = direction();
+            pick(hit, &dir.transpose_hits, &dir.transpose_builds).add(1);
+            let reason = pick(hit, Reason::TransposeHit, Reason::TransposeBuild);
+            (reason, detail, [nnz, 0, 0])
+        }
+        Decision::KernelPath { path, nnz, len } => (Reason::KernelPath, path, [nnz, len, 0]),
+        Decision::ErrorRaised { kind, code } => {
+            pending().errors_raised.add(1);
+            (Reason::ErrorRaised, kind, [code, 0, 0])
+        }
+        Decision::ErrorDeferred => {
+            pending().errors_deferred.add(1);
+            (Reason::ErrorDeferred, "poisoned", [0; 3])
+        }
+        Decision::Dispatch { is_static } => {
+            let d = dispatch();
+            pick(is_static, &d.static_hits, &d.dyn_fallbacks).add(1);
+            (
+                Reason::DispatchPick,
+                pick(is_static, "static", "dyn"),
+                [0; 3],
+            )
+        }
+        Decision::Format { bitmap, nnz, len } => {
+            pick(bitmap, &format().bitmap_picks, &format().svec_picks).add(1);
+            (
+                Reason::FormatPick,
+                pick(bitmap, "bitmap", "sparse"),
+                [nnz, len, 0],
+            )
+        }
+        Decision::DagFuse {
+            kind,
+            pre_maps: pre,
+            post_maps: post,
+            nnz_in,
+        } => {
+            dag().pre_fused.add(pre);
+            dag().post_fused.add(post);
+            if pre + post == 0 {
+                return;
+            }
+            dag().fused_chains.add(1);
+            (Reason::DagFuse, kind, [pre, post, nnz_in])
+        }
+        Decision::DagForce { cause, depth } => {
+            dag().forces.add(1);
+            (Reason::DagForce, cause, [depth, 0, 0])
+        }
     };
-    record(reason, op, "", ctx, [frontier_nnz, frontier_len, threshold_den]);
-}
-
-/// Workspace checkout: `ty` is the workspace's type name, `generation`
-/// the thread's checkout ordinal, `bytes` the reused buffer bytes (0 on
-/// a miss).
-#[inline]
-pub fn decision_workspace(ty: &'static str, hit: bool, n: u64, bytes: u64, generation: u64) {
-    let reason = if hit {
-        Reason::WorkspaceHit
-    } else {
-        Reason::WorkspaceMiss
-    };
-    record(reason, "workspace", ty, 0, [bytes, n, generation]);
-}
-
-/// A thread's workspace cache released `entries` cached buffers holding
-/// `bytes` recorded bytes.
-#[inline]
-pub fn decision_workspace_trim(entries: u64, bytes: u64) {
-    record(Reason::WorkspaceTrim, "workspace", "", 0, [bytes, entries, 0]);
-}
-
-/// A pending map run of `chain_len` stages flushed as one traversal over
-/// `nnz_in` entries; `trigger` says what forced it ("opaque-barrier" or
-/// "queue-end").
-#[inline]
-pub fn decision_fuse_flush(
-    op: &'static str,
-    ctx: u64,
-    chain_len: u64,
-    nnz_in: u64,
-    trigger: &'static str,
-) {
-    record(Reason::FuseFlush, op, trigger, ctx, [chain_len, nnz_in, 0]);
-}
-
-/// An opaque pending stage executed (fusion barrier).
-#[inline]
-pub fn decision_opaque_drain(op: &'static str, ctx: u64) {
-    record(Reason::OpaqueDrain, op, "", ctx, [0, 0, 0]);
-}
-
-/// A store converted to CSR from `src` ("csc", "coo", "dense",
-/// "unsorted"), now holding `nnz` entries.
-#[inline]
-pub fn decision_convert_csr(op: &'static str, ctx: u64, src: &'static str, nnz: u64) {
-    record(Reason::ConvertCsr, op, src, ctx, [nnz, 0, 0]);
-}
-
-/// A vector store canonicalized to sorted sparse from `src` ("dense",
-/// "unsorted"), now holding `nnz` entries.
-#[inline]
-pub fn decision_convert_sparse(op: &'static str, ctx: u64, src: &'static str, nnz: u64) {
-    record(Reason::ConvertSparse, op, src, ctx, [nnz, 0, 0]);
-}
-
-/// Transpose-cache consult: a hit serves the memo, a build computes (and
-/// `detail` distinguishes a cold build from one invalidating a stale
-/// entry).
-#[inline]
-pub fn decision_transpose(ctx: u64, hit: bool, detail: &'static str, nnz: u64) {
-    let reason = if hit {
-        Reason::TransposeHit
-    } else {
-        Reason::TransposeBuild
-    };
-    record(reason, "transpose-cache", detail, ctx, [nnz, 0, 0]);
-}
-
-/// A sparse kernel picked internal path `path` (e.g. spmv
-/// "dense-frontier" vs "sparse-frontier") for an input of `nnz`/`len`.
-#[inline]
-pub fn decision_kernel_path(op: &'static str, ctx: u64, path: &'static str, nnz: u64, len: u64) {
-    record(Reason::KernelPath, op, path, ctx, [nnz, len, 0]);
-}
-
-/// An execution error was constructed (`kind` is the §V error kind,
-/// `code` the magnitude of its negative `GrB_Info` value, e.g. 105 for
-/// `GrB_INDEX_OUT_OF_BOUNDS` = -105).
-#[inline]
-pub fn decision_error_raised(kind: &'static str, code: u64) {
-    record(Reason::ErrorRaised, "error", kind, 0, [code, 0, 0]);
-}
-
-/// A drain failed and poisoned its container (§V deferral surfaced).
-#[inline]
-pub fn decision_error_deferred(op: &'static str, ctx: u64) {
-    record(Reason::ErrorDeferred, op, "poisoned", ctx, [0, 0, 0]);
-}
-
-/// An operation resolved its kernel dispatch: `is_static` means a
-/// pre-monomorphized registry kernel ran (paper §II static dispatch);
-/// otherwise the erased-closure fallback did.
-#[inline]
-pub fn decision_dispatch(op: &'static str, ctx: u64, is_static: bool) {
-    let detail = if is_static { "static" } else { "dyn" };
-    record(Reason::DispatchPick, op, detail, ctx, [0, 0, 0]);
-}
-
-/// The store path picked a vector storage format (`bitmap` = presence
-/// bits + dense slots) for a result of `nnz`/`len` (Table III).
-#[inline]
-pub fn decision_format(op: &'static str, ctx: u64, bitmap: bool, nnz: u64, len: u64) {
-    let detail = if bitmap { "bitmap" } else { "sparse" };
-    record(Reason::FormatPick, op, detail, ctx, [nnz, len, 0]);
-}
-
-/// An op-DAG node of kind `kind` drained absorbing `pre_maps` input-side
-/// and `post_maps` output-side map stages over `nnz_in` input entries
-/// (§III cross-operation fusion actually firing).
-#[inline]
-pub fn decision_dag_fuse(
-    op: &'static str,
-    ctx: u64,
-    kind: &'static str,
-    pre_maps: u64,
-    post_maps: u64,
-    nnz_in: u64,
-) {
-    record(Reason::DagFuse, op, kind, ctx, [pre_maps, post_maps, nnz_in]);
-}
-
-/// A lazy op DAG was forced to drain `depth` queued stages; `cause` says
-/// what forced it ("read", "wait", "async", "self-input").
-#[inline]
-pub fn decision_dag_force(op: &'static str, ctx: u64, cause: &'static str, depth: u64) {
-    record(Reason::DagForce, op, cause, ctx, [depth, 0, 0]);
+    record(reason, op, detail, ctx, args);
 }
 
 // --- reading / explain ----------------------------------------------------
@@ -663,7 +658,9 @@ pub fn explain_for_subtree(root_ctx: u64, last_n: usize) -> Explain {
 /// history there as explain/v1 JSON and returns the path. Write failures
 /// are reported to stderr, not fatal.
 pub fn write_explain_if_requested() -> Option<String> {
-    let path = std::env::var("GRB_EXPLAIN").ok().filter(|p| !p.is_empty())?;
+    let path = std::env::var("GRB_EXPLAIN")
+        .ok()
+        .filter(|p| !p.is_empty())?;
     let json = explain(usize::MAX).to_json();
     match std::fs::write(&path, &json) {
         Ok(()) => Some(path),
@@ -695,6 +692,25 @@ pub(crate) fn reset() {
 mod tests {
     use super::*;
 
+    fn direction(pull: bool, frontier_nnz: u64) -> Decision {
+        Decision::Direction {
+            pull,
+            frontier_nnz,
+            frontier_len: 64,
+            threshold_den: 8,
+        }
+    }
+
+    fn workspace(hit: bool, bytes: u64) -> Decision {
+        Decision::Workspace {
+            ty: "acc",
+            hit,
+            n: 64,
+            bytes,
+            generation: 3,
+        }
+    }
+
     #[test]
     fn record_respects_gates() {
         let _g = crate::test_guard();
@@ -716,15 +732,157 @@ mod tests {
     }
 
     #[test]
+    fn decide_bumps_counters_and_records_events_together() {
+        use crate::counters::{dag, direction as dir, dispatch, format, pending, workspace as ws};
+        let _g = crate::test_guard();
+        crate::reset();
+        // Telemetry off: neither counters nor events move.
+        crate::set_enabled(false);
+        decide("mxv", 0, direction(true, 16));
+        assert_eq!((dir().pull_picks.get(), total()), (0, 0));
+        // Telemetry on, events off: counters move, no event.
+        crate::set_enabled(true);
+        set_events(false);
+        decide("mxv", 0, direction(true, 16));
+        assert_eq!((dir().pull_picks.get(), total()), (1, 0));
+        set_events(true);
+        decide("mxv", 0, direction(false, 1));
+        decide("workspace", 0, workspace(true, 4096));
+        decide("workspace", 0, workspace(false, 0));
+        decide(
+            "transpose-cache",
+            0,
+            Decision::Transpose {
+                hit: true,
+                detail: "memoized",
+                nnz: 9,
+            },
+        );
+        decide(
+            "transpose-cache",
+            0,
+            Decision::Transpose {
+                hit: false,
+                detail: "cold",
+                nnz: 9,
+            },
+        );
+        decide("mxv", 0, Decision::Dispatch { is_static: true });
+        decide("mxv", 0, Decision::Dispatch { is_static: false });
+        decide(
+            "mxv",
+            0,
+            Decision::Format {
+                bitmap: true,
+                nnz: 3,
+                len: 4,
+            },
+        );
+        decide(
+            "mxv",
+            0,
+            Decision::Format {
+                bitmap: false,
+                nnz: 1,
+                len: 4,
+            },
+        );
+        decide(
+            "vector",
+            0,
+            Decision::ConvertSparse {
+                src: "bitmap",
+                nnz: 3,
+            },
+        );
+        decide(
+            "vector",
+            0,
+            Decision::ConvertSparse {
+                src: "dense",
+                nnz: 3,
+            },
+        );
+        let flush = Decision::FuseFlush {
+            chain_len: 3,
+            nnz_in: 10,
+            trigger: "queue-end",
+        };
+        decide("vector.drain", 0, flush);
+        decide("vector.drain", 0, Decision::OpaqueDrain);
+        decide(
+            "error",
+            0,
+            Decision::ErrorRaised {
+                kind: "OutOfMemory",
+                code: 102,
+            },
+        );
+        decide("vector.drain", 0, Decision::ErrorDeferred);
+        let fuse = |pre_maps, post_maps| Decision::DagFuse {
+            kind: "mxv",
+            pre_maps,
+            post_maps,
+            nnz_in: 5,
+        };
+        decide("mxv", 0, fuse(2, 1));
+        decide("mxv", 0, fuse(0, 0)); // fused nothing: no chain, no event
+        decide("mxv", 0, fuse(0, 4));
+        decide(
+            "vector.drain",
+            0,
+            Decision::DagForce {
+                cause: "read",
+                depth: 2,
+            },
+        );
+        let d = dir().totals();
+        assert_eq!((d.push_picks, d.pull_picks), (1, 1));
+        assert_eq!((d.transpose_hits, d.transpose_builds), (1, 1));
+        let w = ws().totals();
+        assert_eq!(
+            (w.checkouts, w.hits, w.misses, w.bytes_reused),
+            (2, 1, 1, 4096)
+        );
+        let s = dispatch().totals();
+        assert_eq!((s.static_hits, s.dyn_fallbacks), (1, 1));
+        let f = format().totals();
+        assert_eq!((f.bitmap_picks, f.svec_picks, f.conversions), (1, 1, 1));
+        let p = pending().totals();
+        assert_eq!(
+            (p.map_traversals, p.fusion_hits, p.opaque_drains),
+            (1, 2, 1)
+        );
+        assert_eq!((p.errors_raised, p.errors_deferred), (1, 1));
+        let g = dag().totals();
+        assert_eq!(
+            (g.pre_fused, g.post_fused, g.fused_chains, g.forces),
+            (2, 5, 2, 1)
+        );
+        // Every decision but the first two and the empty DAG fuse left an
+        // event.
+        assert_eq!(total(), 18);
+        assert_eq!(count(Reason::DagFuse), 2);
+        assert_eq!(count(Reason::ConvertSparse), 2);
+        crate::set_enabled(false);
+        crate::reset();
+    }
+
+    #[test]
     fn explain_orders_and_serializes() {
         let _g = crate::test_guard();
         crate::set_enabled(true);
         set_events(true);
         crate::reset();
-        decision_direction("mxv", 7, false, 1, 64, 8);
-        decision_direction("mxv", 7, true, 16, 64, 8);
-        decision_workspace("acc", true, 64, 512, 3);
-        decision_fuse_flush("vector.drain", 7, 4, 100, "queue-end");
+        decide("mxv", 7, direction(false, 1));
+        decide("mxv", 7, direction(true, 16));
+        decide("workspace", 0, workspace(true, 512));
+        let flush = Decision::FuseFlush {
+            chain_len: 4,
+            nnz_in: 100,
+            trigger: "queue-end",
+        };
+        decide("vector.drain", 7, flush);
         let ex = explain(usize::MAX);
         assert_eq!(ex.total, 4);
         assert_eq!(ex.events.len(), 4);
@@ -758,9 +916,9 @@ mod tests {
         let base = 3_000_000_000;
         crate::ctxreg::register_context(base + 1, 0, Some("root"));
         crate::ctxreg::register_context(base + 2, base + 1, None);
-        decision_direction("mxv", base + 2, true, 8, 8, 8);
-        decision_direction("mxv", 999_999_999, false, 1, 8, 8); // other tree
-        decision_workspace("acc", false, 8, 0, 1); // ctx 0
+        decide("mxv", base + 2, direction(true, 8));
+        decide("mxv", 999_999_999, direction(false, 1)); // other tree
+        decide("workspace", 0, workspace(false, 0)); // ctx 0
         let ex = explain_for_subtree(base + 1, usize::MAX);
         assert_eq!(ex.events.len(), 1);
         assert_eq!(ex.events[0].ctx, base + 2);

@@ -27,7 +27,6 @@ pub mod sampler;
 pub mod server;
 
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 
 use crate::counters;
 use crate::hist::HistTotals;
@@ -97,7 +96,7 @@ pub fn write_dump_if_requested() -> Option<String> {
     let text = render();
     match std::fs::write(&path, &text) {
         Ok(()) => {
-            counters::sampler().dump_writes.fetch_add(1, Ordering::Relaxed);
+            counters::sampler().dump_writes.add(1);
             Some(path)
         }
         Err(e) => {
@@ -153,12 +152,9 @@ pub fn collect() -> Vec<Family> {
             .map(|k| Sample::labeled("kernel", k.kernel.name().to_string(), f(k)))
             .collect()
     };
-    push("grb.kernel.calls", per_kernel(&|k| k.calls as f64));
-    push("grb.kernel.nanos", per_kernel(&|k| k.nanos as f64));
-    push("grb.kernel.flops", per_kernel(&|k| k.flops as f64));
-    push("grb.kernel.nnz_in", per_kernel(&|k| k.nnz_in as f64));
-    push("grb.kernel.nnz_out", per_kernel(&|k| k.nnz_out as f64));
-    push("grb.kernel.bytes_moved", per_kernel(&|k| k.bytes_moved as f64));
+    for (i, desc) in counters::KERNEL_METRICS.iter().enumerate() {
+        push(desc.name, per_kernel(&|k| k.values()[i] as f64));
+    }
     push(
         "grb.kernel.p50_ns",
         per_kernel(&|k| snap.hist(k.kernel).p50() as f64),
@@ -182,63 +178,22 @@ pub fn collect() -> Vec<Family> {
         }),
     );
 
-    let p = &snap.pending;
-    push("grb.pending.maps_enqueued", vec![Sample::scalar(p.maps_enqueued as f64)]);
-    push("grb.pending.opaques_enqueued", vec![Sample::scalar(p.opaques_enqueued as f64)]);
-    push("grb.pending.fusion_hits", vec![Sample::scalar(p.fusion_hits as f64)]);
-    push("grb.pending.map_traversals", vec![Sample::scalar(p.map_traversals as f64)]);
-    push("grb.pending.opaque_drains", vec![Sample::scalar(p.opaque_drains as f64)]);
-    push("grb.pending.drains", vec![Sample::scalar(p.drains as f64)]);
-    push("grb.pending.max_depth", vec![Sample::scalar(p.max_depth as f64)]);
-    push("grb.pending.errors_raised", vec![Sample::scalar(p.errors_raised as f64)]);
-    push("grb.pending.errors_deferred", vec![Sample::scalar(p.errors_deferred as f64)]);
+    // The counter-table blocks: one unlabeled sample per row.
+    for (desc, v) in counters::BLOCK_METRICS
+        .iter()
+        .zip(counters::block_values(&snap))
+    {
+        push(desc.name, vec![Sample::scalar(v as f64)]);
+    }
+
     push(
         "grb.pending.drain_rate",
         vec![Sample::scalar(rate(new.drains, old.drains, dt))],
     );
-
-    let dg = &snap.dag;
-    push("grb.dag.nodes_enqueued", vec![Sample::scalar(dg.nodes_enqueued as f64)]);
-    push("grb.dag.pre_fused", vec![Sample::scalar(dg.pre_fused as f64)]);
-    push("grb.dag.post_fused", vec![Sample::scalar(dg.post_fused as f64)]);
-    push("grb.dag.fused_chains", vec![Sample::scalar(dg.fused_chains as f64)]);
-    push("grb.dag.async_drains", vec![Sample::scalar(dg.async_drains as f64)]);
-    push("grb.dag.forces", vec![Sample::scalar(dg.forces as f64)]);
-
-    let ws = &snap.workspace;
-    push("grb.workspace.checkouts", vec![Sample::scalar(ws.checkouts as f64)]);
-    push("grb.workspace.hits", vec![Sample::scalar(ws.hits as f64)]);
-    push("grb.workspace.misses", vec![Sample::scalar(ws.misses as f64)]);
-    push("grb.workspace.bytes_reused", vec![Sample::scalar(ws.bytes_reused as f64)]);
-
-    let d = &snap.direction;
-    push("grb.direction.push_picks", vec![Sample::scalar(d.push_picks as f64)]);
-    push("grb.direction.pull_picks", vec![Sample::scalar(d.pull_picks as f64)]);
-    push("grb.direction.transpose_builds", vec![Sample::scalar(d.transpose_builds as f64)]);
-    push("grb.direction.transpose_hits", vec![Sample::scalar(d.transpose_hits as f64)]);
-
-    push("grb.dispatch.static_hits", vec![Sample::scalar(snap.dispatch.static_hits as f64)]);
-    push("grb.dispatch.dyn_fallbacks", vec![Sample::scalar(snap.dispatch.dyn_fallbacks as f64)]);
-
-    let f = &snap.format;
-    push("grb.format.bitmap_picks", vec![Sample::scalar(f.bitmap_picks as f64)]);
-    push("grb.format.svec_picks", vec![Sample::scalar(f.svec_picks as f64)]);
-    push("grb.format.conversions", vec![Sample::scalar(f.conversions as f64)]);
-
-    let pl = &snap.pool;
-    push("grb.pool.tasks_spawned", vec![Sample::scalar(pl.tasks_spawned as f64)]);
-    push("grb.pool.tasks_inline", vec![Sample::scalar(pl.tasks_inline as f64)]);
-    push("grb.pool.parks", vec![Sample::scalar(pl.parks as f64)]);
-    push("grb.pool.wakes", vec![Sample::scalar(pl.wakes as f64)]);
-    push("grb.pool.scopes", vec![Sample::scalar(pl.scopes as f64)]);
-    push("grb.pool.jobs_queued", vec![Sample::scalar(pl.jobs_queued as f64)]);
-    push("grb.pool.jobs_dequeued", vec![Sample::scalar(pl.jobs_dequeued as f64)]);
-    push("grb.pool.queue_depth", vec![Sample::scalar(pl.queue_depth() as f64)]);
-    push("grb.pool.queue_depth_max", vec![Sample::scalar(pl.queue_depth_max as f64)]);
-    push("grb.pool.tasks_completed", vec![Sample::scalar(pl.tasks_completed as f64)]);
-    push("grb.pool.task_wait_ns", vec![Sample::scalar(pl.task_wait_ns as f64)]);
-    push("grb.pool.task_run_ns", vec![Sample::scalar(pl.task_run_ns as f64)]);
-    push("grb.pool.workers", vec![Sample::scalar(pl.workers as f64)]);
+    push(
+        "grb.pool.queue_depth",
+        vec![Sample::scalar(snap.pool.queue_depth() as f64)],
+    );
     push(
         "grb.pool.worker_busy_ns",
         snap.pool_workers
@@ -310,11 +265,6 @@ pub fn collect() -> Vec<Family> {
         "grb.rate.bytes",
         vec![Sample::scalar(rate(new.bytes_moved(), old.bytes_moved(), dt))],
     );
-
-    let s = &snap.sampler;
-    push("grb.sampler.samples", vec![Sample::scalar(s.samples as f64)]);
-    push("grb.sampler.scrapes", vec![Sample::scalar(s.scrapes as f64)]);
-    push("grb.sampler.dump_writes", vec![Sample::scalar(s.dump_writes as f64)]);
 
     out
 }

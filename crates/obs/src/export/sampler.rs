@@ -93,8 +93,8 @@ pub fn capture() -> SamplePoint {
         t_ns: span::epoch().elapsed().as_nanos() as u64,
         kernels: counters::kernel_totals(),
         hists: hists.into_iter().map(|kh| kh.hist).collect(),
-        drains: counters::pending_totals().drains,
-        pool: counters::pool_totals(),
+        drains: counters::pending().drains.get(),
+        pool: counters::pool().totals(),
         worker_busy: counters::worker_busy_totals(),
     }
 }
@@ -144,7 +144,7 @@ pub fn sample_now() {
     }
     r.points.push_back(point);
     drop(r);
-    counters::sampler().samples.fetch_add(1, Ordering::Relaxed);
+    counters::sampler().samples.add(1);
 }
 
 /// The rate window: the newest ring sample paired with the oldest one

@@ -9,7 +9,6 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -94,7 +93,7 @@ fn serve_one(mut stream: TcpStream) -> std::io::Result<()> {
     }
     // Count before rendering so the served exposition includes the
     // in-flight scrape (the first scrape already shows 1).
-    counters::sampler().scrapes.fetch_add(1, Ordering::Relaxed);
+    counters::sampler().scrapes.add(1);
     let body = super::render();
     let header = format!(
         "HTTP/1.1 200 OK\r\n\

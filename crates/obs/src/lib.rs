@@ -12,7 +12,11 @@
 //!   human-readable stderr narration (SuiteSparse's `GxB_BURBLE` analogue).
 //! * [`counters`] — per-kernel invocation counts, flops, input/output nnz,
 //!   and bytes moved; pending-queue depth, `Stage::Map` fusion hits vs.
-//!   opaque drains; pool task spawns and park/wake counts.
+//!   opaque drains; pool task spawns and park/wake counts. Each counter
+//!   is one row of a table that also generates its snapshot JSON key and
+//!   its exported metric.
+//! * [`decide`] — the one call a runtime choice point makes: it bumps the
+//!   decision's counters and records its reason-coded [`events`] entry.
 //! * [`ctxreg`] — per-`Context` aggregation so the hierarchical thread
 //!   budget story of §IV becomes inspectable: each context exposes its
 //!   descendants' rolled-up statistics.
@@ -71,7 +75,7 @@ pub use counters::{
 };
 pub use ctxreg::{register_context, ContextStats, CtxTotals};
 pub use events::{
-    write_explain_if_requested, DecisionEvent, Explain, Reason, REASON_COUNT,
+    decide, write_explain_if_requested, Decision, DecisionEvent, Explain, Reason, REASON_COUNT,
 };
 pub use export::{write_dump_if_requested, Family, Sample};
 pub use hist::{HistTotals, KernelHist};

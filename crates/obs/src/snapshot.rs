@@ -65,15 +65,15 @@ pub fn snapshot() -> Snapshot {
     Snapshot {
         enabled: crate::enabled(),
         kernels: counters::kernel_totals(),
-        pending: counters::pending_totals(),
-        dag: counters::dag_totals(),
-        pool: counters::pool_totals(),
+        pending: counters::pending().totals(),
+        dag: counters::dag().totals(),
+        pool: counters::pool().totals(),
         pool_workers: counters::worker_busy_totals(),
-        sampler: counters::sampler_totals(),
-        workspace: counters::workspace_totals(),
-        direction: counters::direction_totals(),
-        dispatch: counters::dispatch_totals(),
-        format: counters::format_totals(),
+        sampler: counters::sampler().totals(),
+        workspace: counters::workspace().totals(),
+        direction: counters::direction().totals(),
+        dispatch: counters::dispatch().totals(),
+        format: counters::format().totals(),
         hists: hist::kernel_hists(),
         mem: mem::totals(),
         contexts: ctxreg::all_context_stats(),
@@ -121,18 +121,7 @@ impl Snapshot {
         for k in &self.kernels {
             w.key(k.kernel.name());
             w.begin_object();
-            w.key("calls");
-            w.number(k.calls);
-            w.key("nanos");
-            w.number(k.nanos);
-            w.key("flops");
-            w.number(k.flops);
-            w.key("nnz_in");
-            w.number(k.nnz_in);
-            w.key("nnz_out");
-            w.number(k.nnz_out);
-            w.key("bytes_moved");
-            w.number(k.bytes_moved);
+            k.write_json(&mut w);
             let h = self.hist(k.kernel);
             w.key("p50_ns");
             w.number(h.p50());
@@ -146,129 +135,16 @@ impl Snapshot {
         }
         w.end_object();
 
-        w.key("pending");
-        w.begin_object();
-        w.key("maps_enqueued");
-        w.number(self.pending.maps_enqueued);
-        w.key("opaques_enqueued");
-        w.number(self.pending.opaques_enqueued);
-        w.key("fusion_hits");
-        w.number(self.pending.fusion_hits);
-        w.key("map_traversals");
-        w.number(self.pending.map_traversals);
-        w.key("opaque_drains");
-        w.number(self.pending.opaque_drains);
-        w.key("drains");
-        w.number(self.pending.drains);
-        w.key("max_depth");
-        w.number(self.pending.max_depth);
-        w.key("errors_raised");
-        w.number(self.pending.errors_raised);
-        w.key("errors_deferred");
-        w.number(self.pending.errors_deferred);
-        w.end_object();
-
-        w.key("dag");
-        w.begin_object();
-        w.key("nodes_enqueued");
-        w.number(self.dag.nodes_enqueued);
-        w.key("pre_fused");
-        w.number(self.dag.pre_fused);
-        w.key("post_fused");
-        w.number(self.dag.post_fused);
-        w.key("fused_chains");
-        w.number(self.dag.fused_chains);
-        w.key("async_drains");
-        w.number(self.dag.async_drains);
-        w.key("forces");
-        w.number(self.dag.forces);
-        w.end_object();
-
-        w.key("pool");
-        w.begin_object();
-        w.key("tasks_spawned");
-        w.number(self.pool.tasks_spawned);
-        w.key("tasks_inline");
-        w.number(self.pool.tasks_inline);
-        w.key("parks");
-        w.number(self.pool.parks);
-        w.key("wakes");
-        w.number(self.pool.wakes);
-        w.key("scopes");
-        w.number(self.pool.scopes);
-        w.key("jobs_queued");
-        w.number(self.pool.jobs_queued);
-        w.key("jobs_dequeued");
-        w.number(self.pool.jobs_dequeued);
-        w.key("queue_depth_max");
-        w.number(self.pool.queue_depth_max);
-        w.key("tasks_completed");
-        w.number(self.pool.tasks_completed);
-        w.key("task_wait_ns");
-        w.number(self.pool.task_wait_ns);
-        w.key("task_run_ns");
-        w.number(self.pool.task_run_ns);
-        w.key("workers");
-        w.number(self.pool.workers);
-        w.key("worker_busy_ns");
-        w.begin_array();
-        for b in &self.pool_workers {
-            w.number(*b);
-        }
-        w.end_array();
-        w.end_object();
-
-        w.key("sampler");
-        w.begin_object();
-        w.key("samples");
-        w.number(self.sampler.samples);
-        w.key("scrapes");
-        w.number(self.sampler.scrapes);
-        w.key("dump_writes");
-        w.number(self.sampler.dump_writes);
-        w.end_object();
-
-        w.key("workspace");
-        w.begin_object();
-        w.key("checkouts");
-        w.number(self.workspace.checkouts);
-        w.key("hits");
-        w.number(self.workspace.hits);
-        w.key("misses");
-        w.number(self.workspace.misses);
-        w.key("bytes_reused");
-        w.number(self.workspace.bytes_reused);
-        w.end_object();
-
-        w.key("direction");
-        w.begin_object();
-        w.key("push_picks");
-        w.number(self.direction.push_picks);
-        w.key("pull_picks");
-        w.number(self.direction.pull_picks);
-        w.key("transpose_builds");
-        w.number(self.direction.transpose_builds);
-        w.key("transpose_hits");
-        w.number(self.direction.transpose_hits);
-        w.end_object();
-
-        w.key("dispatch");
-        w.begin_object();
-        w.key("static_hits");
-        w.number(self.dispatch.static_hits);
-        w.key("dyn_fallbacks");
-        w.number(self.dispatch.dyn_fallbacks);
-        w.end_object();
-
-        w.key("format");
-        w.begin_object();
-        w.key("bitmap_picks");
-        w.number(self.format.bitmap_picks);
-        w.key("svec_picks");
-        w.number(self.format.svec_picks);
-        w.key("conversions");
-        w.number(self.format.conversions);
-        w.end_object();
+        counters::write_blocks_json(self, &mut w, |block, w| {
+            if block == "pool" {
+                w.key("worker_busy_ns");
+                w.begin_array();
+                for b in &self.pool_workers {
+                    w.number(*b);
+                }
+                w.end_array();
+            }
+        });
 
         w.key("mem");
         w.begin_object();

@@ -120,12 +120,18 @@ where
     // positions are no longer the identity.
     let dense = pre.is_none() && x.nnz() == x.len() && x.is_sorted();
     if graphblas_obs::events::on() {
-        graphblas_obs::events::decision_kernel_path(
+        graphblas_obs::decide(
             "spmv",
             ctx.id(),
-            if dense { "dense-frontier" } else { "sparse-frontier" },
-            x.nnz() as u64,
-            x.len() as u64,
+            graphblas_obs::Decision::KernelPath {
+                path: if dense {
+                    "dense-frontier"
+                } else {
+                    "sparse-frontier"
+                },
+                nnz: x.nnz() as u64,
+                len: x.len() as u64,
+            },
         );
     }
     let mut fused_vals: Vec<X> = Vec::new();
@@ -225,12 +231,14 @@ where
         return SparseVec::empty(0);
     }
     if graphblas_obs::events::on() {
-        graphblas_obs::events::decision_kernel_path(
+        graphblas_obs::decide(
             "spmv",
             ctx.id(),
-            "bitmap-frontier",
-            x.nnz() as u64,
-            x.len() as u64,
+            graphblas_obs::Decision::KernelPath {
+                path: "bitmap-frontier",
+                nnz: x.nnz() as u64,
+                len: x.len() as u64,
+            },
         );
     }
     let mut fused_vals: Vec<X> = Vec::new();
@@ -394,12 +402,14 @@ where
         );
     }
     if graphblas_obs::events::on() && allowed.is_some() {
-        graphblas_obs::events::decision_kernel_path(
+        graphblas_obs::decide(
             "vxm",
             ctx.id(),
-            "masked-scatter",
-            nnz as u64,
-            ncols as u64,
+            graphblas_obs::Decision::KernelPath {
+                path: "masked-scatter",
+                nnz: nnz as u64,
+                len: ncols as u64,
+            },
         );
     }
     // Weight chunks of x's nonzeros by the matrix rows they touch.
@@ -586,7 +596,7 @@ mod tests {
             let d = v * 2;
             (d <= 4).then_some(d)
         };
-        let post = |i: usize, v: &i64| -> Option<i64> { (i % 2 == 0).then_some(v + 1) };
+        let post = |i: usize, v: &i64| -> Option<i64> { i.is_multiple_of(2).then_some(v + 1) };
         let xm = x.filter_map_with_index(pre);
         let expect = spmv(&ctx, &a, &xm, |a, x| a * x, |p, q| p + q, None::<fn(&i64) -> bool>)
             .filter_map_with_index(post);
@@ -672,7 +682,7 @@ mod tests {
             |p, q| p + q,
             None,
             None,
-            Some(&|j: usize| j % 2 == 0),
+            Some(&|j: usize| j.is_multiple_of(2)),
         );
         let expect: Vec<(usize, i64)> = full
             .to_sorted_tuples()

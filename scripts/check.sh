@@ -22,18 +22,26 @@ cargo build --release
 cargo test -q
 # Crate suites the root `cargo test` does not reach: the sparse-kernel
 # property tests, the static-vs-dyn registry equivalence tests, the core
-# unit tests (pending engine, containers, operations) and the
-# blocking-vs-nonblocking execution-mode equivalence tests.
+# unit tests (pending engine, containers, operations), the
+# blocking-vs-nonblocking execution-mode equivalence tests, the obs unit
+# tests (counter table, decisions, export plane) and the checker's unit
+# tests plus the grblint fixtures.
 cargo test -q -p graphblas-sparse --test kernel_props
 cargo test -q -p graphblas-core --test registry_equiv
 cargo test -q -p graphblas-core --lib --test dag_equivalence
-cargo clippy --all-targets -- -D warnings
+cargo test -q -p graphblas-obs --lib
+cargo test -q -p graphblas-check --lib --test lint_fixtures
+cargo clippy --workspace --all-targets -- -D warnings
 
-# Repo-specific lints (crates/check/src/lint.rs): relaxed orderings outside
-# obs, unwrap/expect in core/sparse, fallible core APIs bypassing GrbResult,
-# undocumented unsafe, kernel/operation entry points that record no
-# telemetry span — and stale `grblint: allow(...)` waivers that no longer
-# suppress anything. Fails the gate on any violation.
+# Repo-specific lints (crates/check/src/lint.rs, eight rules): relaxed
+# orderings outside obs, unwrap/expect in core/sparse, fallible core APIs
+# bypassing GrbResult, undocumented unsafe, kernel/operation entry points
+# that record no telemetry span, type-erased operators in hot sparse
+# kernels, op-DAG drains without a span and a dag-force decision — and
+# stale `grblint: allow(...)` waivers that no longer suppress anything.
+# (Counters and decisions need no rule: the obs counter table and
+# `obs::decide` make a counter without a metric, or a decision without
+# an event, impossible to write.) Fails the gate on any violation.
 cargo run -q -p graphblas-check --bin grblint -- .
 
 # Source-model static analysis (crates/check/src/sa): lock-order cycles
